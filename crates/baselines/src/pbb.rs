@@ -123,16 +123,24 @@ impl PartialOrd for HeapNode {
     }
 }
 
+/// Largest topology [`pbb`] can search: the width of its `u128`
+/// node-occupancy bitmask (all paper-scale experiments are ≤ 81 nodes).
+pub(crate) const PBB_MAX_NODES: usize = u128::BITS as usize;
+
 /// Runs the partial branch-and-bound mapper.
 ///
 /// # Panics
 ///
-/// Panics if the topology has more than 128 nodes (the occupancy bitmask
-/// width; all paper-scale experiments are ≤ 81 nodes).
+/// Panics if the topology has more than 128 nodes (the width of the
+/// occupancy bitmask); [`crate::PbbMapper`] reports that case as
+/// [`nmap::MapError::TopologyTooLarge`] instead.
 pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
     let cores = problem.cores();
     let topology = problem.topology();
-    assert!(topology.node_count() <= 128, "PBB occupancy mask supports up to 128 nodes");
+    assert!(
+        topology.node_count() <= PBB_MAX_NODES,
+        "PBB occupancy mask supports up to {PBB_MAX_NODES} nodes"
+    );
 
     // Core order: decreasing total communication demand.
     let mut order: Vec<CoreId> = cores.cores().collect();

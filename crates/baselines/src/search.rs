@@ -6,6 +6,7 @@
 use nmap::search::{constructive_outcome_of, core_registry, MapOutcome, Mapper, Registry};
 use nmap::{EvalContext, Result};
 
+use crate::pbb::PBB_MAX_NODES;
 use crate::{gmap, pbb, pmap, PbbOptions};
 
 /// The PMAP two-phase baseline (registry name `pmap`).
@@ -77,6 +78,10 @@ impl Mapper for PbbMapper {
 
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         self.options.check().map_err(nmap::MapError::InvalidOptions)?;
+        let nodes = ctx.problem().topology().node_count();
+        if nodes > PBB_MAX_NODES {
+            return Err(nmap::MapError::TopologyTooLarge { nodes, limit: PBB_MAX_NODES });
+        }
         let out = pbb(ctx.problem(), &self.options);
         ctx.probe().counter("search.pbb_expansions").add(out.expansions as u64);
         Ok(MapOutcome {

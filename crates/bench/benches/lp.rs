@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bench::{dsp_instance, vopd_instance};
-use nmap::{initialize, mcf::solve_mcf, McfKind, PathScope};
+use bench::{dsd_torus_instance, dsp_instance, vopd_instance};
+use nmap::{initialize, map_single_path, mcf::solve_mcf, McfKind, PathScope, SinglePathOptions};
 use noc_lp::{LinearProgram, Sense};
 
 fn bench_mcf_models(c: &mut Criterion) {
@@ -34,6 +34,16 @@ fn bench_mcf_models(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 solve_mcf(&vopd, &vopd_mapping, McfKind::MinMaxLoad, PathScope::AllPaths).unwrap(),
+            )
+        })
+    });
+    // NMAP's placement, as the topology exploration solves it.
+    let dsd = dsd_torus_instance();
+    let dsd_mapping = map_single_path(&dsd, &SinglePathOptions::default()).unwrap().mapping;
+    group.bench_function("minmax_dsd_torus5x4_allpaths", |b| {
+        b.iter(|| {
+            black_box(
+                solve_mcf(&dsd, &dsd_mapping, McfKind::MinMaxLoad, PathScope::AllPaths).unwrap(),
             )
         })
     });

@@ -27,6 +27,12 @@ pub fn vopd_instance() -> MappingProblem {
     MappingProblem::new(noc_apps::vopd(), Topology::mesh(4, 4, 2_000.0)).expect("fits")
 }
 
+/// The DSD app on a 5×4 torus, the topology exploration's costliest
+/// min-max-load candidate under the edge formulation.
+pub fn dsd_torus_instance() -> MappingProblem {
+    MappingProblem::new(noc_apps::dsd(), Topology::torus(5, 4, 1e9)).expect("fits")
+}
+
 /// The paper's DSP instance on its 3×2 mesh.
 pub fn dsp_instance() -> MappingProblem {
     MappingProblem::new(noc_apps::dsp_filter(), Topology::mesh(3, 2, 2_000.0)).expect("fits")

@@ -37,6 +37,14 @@ pub enum MapError {
     /// [`crate::SinglePathOptions::check`]): the entry points validate
     /// instead of silently clamping.
     InvalidOptions(String),
+    /// The topology has more nodes than the mapper can represent (PBB's
+    /// occupancy bitmask holds 128 nodes).
+    TopologyTooLarge {
+        /// Number of nodes in the topology.
+        nodes: usize,
+        /// Largest node count the mapper supports.
+        limit: usize,
+    },
     /// An MCF linear program failed to solve.
     Lp(SolveError),
 }
@@ -56,6 +64,9 @@ impl fmt::Display for MapError {
             }
             MapError::InvalidOptions(message) => {
                 write!(f, "invalid mapper options: {message}")
+            }
+            MapError::TopologyTooLarge { nodes, limit } => {
+                write!(f, "the topology has {nodes} nodes but this mapper supports at most {limit}")
             }
             MapError::Lp(e) => write!(f, "multi-commodity flow LP failed: {e}"),
         }

@@ -17,6 +17,13 @@
 //! Restricting a commodity's variables to its quadrant DAG
 //! ([`PathScope::Quadrant`]) yields the equal-hop-delay NMAPTM variant of
 //! Equation 10; [`PathScope::AllPaths`] is the unrestricted NMAPTA.
+//!
+//! MCF1 and MCF2 are solved in this edge formulation. The min-max-load
+//! program is solved in its path form by column generation (the
+//! `path_master` module, DESIGN.md §20): a restricted master over a few
+//! paths per commodity, grown by shortest-path pricing under the link
+//! duals. Its edge formulation stays as the differential test oracle (and
+//! behind the warm-start entry point [`solve_mcf_warm`]).
 
 use std::collections::BTreeMap;
 
@@ -25,6 +32,8 @@ use noc_lp::{LinearProgram, Sense, SimplexOptions, SolveError, TableauSnapshot, 
 
 use crate::routing::{LinkLoads, RoutingTables, SplitRoute};
 use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
+
+mod path_master;
 
 /// Which links each commodity may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +70,8 @@ pub struct McfSolution {
     pub objective: f64,
     /// Aggregate link loads of the optimal flow.
     pub link_loads: LinkLoads,
-    /// Per-commodity routing tables obtained by flow decomposition.
+    /// Per-commodity routing tables: the decomposed link flows for MCF1
+    /// and MCF2, the positive path columns for the min-max load.
     pub tables: RoutingTables,
 }
 
@@ -221,6 +231,11 @@ fn solve_mcf_inner(
     options: Option<SimplexOptions>,
     capture: bool,
 ) -> Result<(McfSolution, Option<McfWarmState>, McfSolveStats)> {
+    if kind == McfKind::MinMaxLoad && !capture {
+        let solution =
+            path_master::solve_min_max(topology, commodities, scope, options.unwrap_or_default())?;
+        return Ok((solution, None, McfSolveStats::default()));
+    }
     let mut model = McfModel::build(topology, commodities, kind, scope);
     if let Some(options) = options {
         model.lp.set_options(options);

@@ -159,3 +159,24 @@ fn hybrid_loop_is_accepted_and_bad_loops_are_not() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("hybrid"), "usage should list hybrid");
 }
+
+/// A valid spec whose fitted mesh outgrows PBB's 128-node occupancy mask
+/// used to abort the whole sweep with a panic. It must instead yield a
+/// typed per-scenario failure: exit 0 under `--allow-failures`, with the
+/// failure in the record.
+#[test]
+fn pbb_beyond_its_node_limit_fails_one_scenario_not_the_sweep() {
+    let scratch = ScratchDir::new("pbb_limit");
+    let spec = scratch.path("pbb.dse");
+    std::fs::write(&spec, "seed 1\nrandom 130 1\ntopology fit\nmapper pbb\n").unwrap();
+    let jsonl = scratch.path("pbb.jsonl");
+    let out = nmap_dse(&["--spec", &spec, "--allow-failures", "--jsonl", &jsonl]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status.code());
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let records = std::fs::read_to_string(&jsonl).unwrap();
+    assert_eq!(records.lines().count(), 1, "{records}");
+    assert!(records.contains("supports at most 128"), "{records}");
+    // Without --allow-failures the failed scenario is an error exit.
+    assert!(!nmap_dse(&["--spec", &spec]).status.success());
+}

@@ -9,7 +9,10 @@
 //! * Build a model with [`LinearProgram`]: add variables (with their
 //!   objective coefficients) and constraints (`≤`, `=`, `≥`).
 //! * Call [`LinearProgram::solve`] to obtain a [`Solution`] or a
-//!   [`SolveError`] describing infeasibility/unboundedness.
+//!   [`SolveError`] describing infeasibility/unboundedness. Besides the
+//!   variable values, [`Solution::duals`] holds the shadow price of every
+//!   `≤`/`≥` constraint (what `nmap`'s min-max column generation prices
+//!   links with).
 //! * For a family of programs that differ only in constraint right-hand
 //!   sides (e.g. a bandwidth sweep), call
 //!   [`LinearProgram::solve_with_basis`] once and

@@ -205,7 +205,7 @@ impl LinearProgram {
     pub fn solve_with_basis(&self) -> Result<(Solution, Basis, SolveStats), SolveError> {
         let costs = self.minimization_costs();
         let full = solve_standard_form_full(&costs, &self.constraints, self.options)?;
-        Ok((self.finish(full.values), full.basis, full.stats))
+        Ok((self.finish(full.values, full.duals), full.basis, full.stats))
     }
 
     /// Re-optimizes from `previous`, the optimal basis of a structurally
@@ -225,9 +225,9 @@ impl LinearProgram {
         previous: &Basis,
     ) -> Result<(Solution, Basis, SolveStats), SolveError> {
         let costs = self.minimization_costs();
-        let (values, basis, stats) =
+        let ((values, duals), basis, stats) =
             resolve_standard_form(&costs, &self.constraints, self.options, previous)?;
-        Ok((self.finish(values), basis, stats))
+        Ok((self.finish(values, duals), basis, stats))
     }
 
     /// Like [`LinearProgram::solve_with_basis`], but capturing the final
@@ -250,7 +250,7 @@ impl LinearProgram {
         let costs = self.minimization_costs();
         let (full, snapshot) =
             solve_standard_form_snapshot(&costs, &self.constraints, self.options)?;
-        Ok((self.finish(full.values), snapshot, full.stats))
+        Ok((self.finish(full.values, full.duals), snapshot, full.stats))
     }
 
     /// Re-optimizes from `previous`, a [`TableauSnapshot`] of a
@@ -279,9 +279,9 @@ impl LinearProgram {
         previous: TableauSnapshot,
     ) -> Result<(Solution, TableauSnapshot, SolveStats), SolveError> {
         let costs = self.minimization_costs();
-        let (values, snapshot, stats) =
+        let ((values, duals), snapshot, stats) =
             resolve_from_snapshot(&costs, &self.constraints, self.options, previous)?;
-        Ok((self.finish(values), snapshot, stats))
+        Ok((self.finish(values, duals), snapshot, stats))
     }
 
     /// Objective coefficients in the solver's native minimization sense.
@@ -293,10 +293,10 @@ impl LinearProgram {
         }
     }
 
-    /// Builds a [`Solution`] from raw structural values: computes the
-    /// objective in the original sense and snaps tiny negatives introduced
-    /// by elimination to zero.
-    fn finish(&self, mut values: Vec<f64>) -> Solution {
+    /// Builds a [`Solution`] from raw structural values and minimization-
+    /// sense row duals: computes the objective and duals in the original
+    /// sense and snaps tiny negatives introduced by elimination to zero.
+    fn finish(&self, mut values: Vec<f64>, mut duals: Vec<Option<f64>>) -> Solution {
         let mut objective = 0.0;
         for (value, cost) in values.iter().zip(&self.costs) {
             objective += value * cost;
@@ -306,7 +306,12 @@ impl LinearProgram {
                 *v = 0.0;
             }
         }
-        Solution { objective, values }
+        if self.sense == Sense::Maximize {
+            for y in duals.iter_mut().flatten() {
+                *y = 0.0 - *y; // `0.0 - 0.0` keeps a zero dual positive
+            }
+        }
+        Solution { objective, values, duals }
     }
 }
 
@@ -319,6 +324,13 @@ pub struct Solution {
     pub objective: f64,
     /// Values of the decision variables, indexed by [`VarId`].
     pub values: Vec<f64>,
+    /// Row duals (shadow prices), indexed like
+    /// [`LinearProgram::constraints`]: the rate at which the optimal
+    /// objective, in the program's own sense, changes per unit increase of
+    /// the row's right-hand side. `Some` for `≤`/`≥` rows, read from their
+    /// slack/surplus columns; `None` for equalities, which carry no such
+    /// column (callers recover those from complementary slackness).
+    pub duals: Vec<Option<f64>>,
 }
 
 impl Index<VarId> for Solution {
@@ -337,6 +349,15 @@ impl Solution {
     /// Panics if `var` belongs to a different program.
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.0]
+    }
+
+    /// Dual of constraint `row` (insertion order); `None` for equalities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn dual(&self, row: usize) -> Option<f64> {
+        self.duals[row]
     }
 }
 

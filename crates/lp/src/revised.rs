@@ -18,7 +18,7 @@
 //! can fall back to a cold solve.
 
 use crate::problem::{Constraint, ConstraintSense};
-use crate::simplex::{effective_sense, SimplexOptions, SolveError, SolveStats, Tableau};
+use crate::simplex::{effective_sense, Optimum, SimplexOptions, SolveError, SolveStats, Tableau};
 
 /// Layout fingerprint of one constraint row as the cold solve built it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,13 +169,13 @@ impl TableauSnapshot {
 
 /// Re-optimizes `min c·x` from `prev`, assuming only constraint RHS values
 /// changed since the basis was recorded. Returns the structural values,
-/// the (possibly updated) optimal basis, and solve statistics.
+/// the row duals, the (possibly updated) optimal basis, and solve statistics.
 pub(crate) fn resolve_standard_form(
     costs: &[f64],
     constraints: &[Constraint],
     options: SimplexOptions,
     prev: &Basis,
-) -> Result<(Vec<f64>, Basis, SolveStats), SolveError> {
+) -> Result<(Optimum, Basis, SolveStats), SolveError> {
     options.validate()?;
     let n = costs.len();
     let m = constraints.len();
@@ -271,7 +271,7 @@ pub(crate) fn resolve_standard_form(
     // independent of the RHS, so the row is dual-feasible (up to roundoff).
     t.install_objective(costs);
 
-    let values = dual_reoptimize(&mut t, n, constraints)?;
+    let optimum = dual_reoptimize(&mut t, n, constraints, &prev.layout)?;
 
     let basis = Basis {
         columns: t.basis.clone(),
@@ -282,7 +282,7 @@ pub(crate) fn resolve_standard_form(
         unique: true, // dual_reoptimize's uniqueness guard just proved it
     };
     let stats = std::mem::take(&mut t.stats);
-    Ok((values, basis, stats))
+    Ok((optimum, basis, stats))
 }
 
 /// Re-optimizes `min c·x` from `prev`, a captured [`TableauSnapshot`],
@@ -301,7 +301,7 @@ pub(crate) fn resolve_from_snapshot(
     constraints: &[Constraint],
     options: SimplexOptions,
     prev: TableauSnapshot,
-) -> Result<(Vec<f64>, TableauSnapshot, SolveStats), SolveError> {
+) -> Result<(Optimum, TableauSnapshot, SolveStats), SolveError> {
     options.validate()?;
     let n = costs.len();
     let m = constraints.len();
@@ -373,7 +373,7 @@ pub(crate) fn resolve_from_snapshot(
         row[rhs_col] = acc;
     }
 
-    let values = dual_reoptimize(&mut t, n, constraints)?;
+    let optimum = dual_reoptimize(&mut t, n, constraints, &prev.layout)?;
 
     let snapshot = TableauSnapshot {
         data: std::mem::take(&mut t.data),
@@ -389,19 +389,20 @@ pub(crate) fn resolve_from_snapshot(
         unique: true, // dual_reoptimize's uniqueness guard just proved it
     };
     let stats = std::mem::take(&mut t.stats);
-    Ok((values, snapshot, stats))
+    Ok((optimum, snapshot, stats))
 }
 
 /// The shared tail of both warm paths: dual simplex from a dual-feasible
 /// tableau, primal cleanup, the uniqueness guard, value extraction, and
 /// the consistency recheck of constraint rows the cold solve dropped as
-/// redundant. Returns the structural values; the caller packages the
-/// basis/snapshot and stats.
+/// redundant. Returns the structural values and row duals; the caller
+/// packages the basis/snapshot and stats.
 fn dual_reoptimize(
     t: &mut Tableau,
     n: usize,
     constraints: &[Constraint],
-) -> Result<Vec<f64>, SolveError> {
+    layout: &[RowLayout],
+) -> Result<Optimum, SolveError> {
     let options = t.options;
     let tol = options.tolerance;
     let m = constraints.len();
@@ -462,17 +463,7 @@ fn dual_reoptimize(
         return Err(SolveError::BasisMismatch);
     }
 
-    // Extract structural values (normalizing negative zeros, as the cold
-    // path does).
-    let mut values = vec![0.0; n];
-    let rhs = t.rhs_col();
-    for r in 0..t.rows - 1 {
-        let b = t.basis[r];
-        if b < n {
-            let v = t.at(r, rhs);
-            values[b] = if v == 0.0 { 0.0 } else { v };
-        }
-    }
+    let (values, duals) = t.extract(n, layout);
 
     // Rows the cold solve dropped as redundant were consistent for the old
     // RHS; verify they still hold, otherwise the warm state is unusable.
@@ -501,7 +492,7 @@ fn dual_reoptimize(
         }
     }
 
-    Ok(values)
+    Ok((values, duals))
 }
 
 #[cfg(test)]

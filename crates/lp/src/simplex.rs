@@ -300,6 +300,44 @@ impl Tableau {
         (0..self.artificial_start).all(|c| in_basis[c] || self.at(obj, c) > tol)
     }
 
+    /// Reads the optimum off the final tableau: the structural values
+    /// (`n` columns) and the row duals of every `≤`/`≥` constraint in the
+    /// solver's minimization sense. Negative zeros are normalized so sparse
+    /// and dense pivot modes return bit-identical values and duals.
+    ///
+    /// A constraint's dual comes from the objective-row entry of its slack
+    /// or surplus column, whose reduced cost is `0 − s·y'` for slack sign
+    /// `s` (+1 for `≤`, −1 for `≥`) and internal-row dual `y'`. A row
+    /// negated for its negative RHS has `y = −y'`. Equalities carry no
+    /// slack column and report `None`. Rows phase 1 dropped as redundant
+    /// need no special case: the objective row prices every slack column
+    /// against the original constraints, dropped or not.
+    pub(crate) fn extract(&self, n: usize, layout: &[RowLayout]) -> Optimum {
+        let normalize = |v: f64| if v == 0.0 { 0.0 } else { v };
+        let mut values = vec![0.0; n];
+        let rhs = self.rhs_col();
+        for r in 0..self.rows - 1 {
+            let b = self.basis[r];
+            if b < n {
+                values[b] = normalize(self.at(r, rhs));
+            }
+        }
+        let obj = self.obj_row();
+        let duals = layout
+            .iter()
+            .map(|row| {
+                let slack_sign = match effective_sense(row.sense, row.flipped) {
+                    ConstraintSense::Le => 1.0,
+                    ConstraintSense::Ge => -1.0,
+                    ConstraintSense::Eq => return None,
+                };
+                let flip = if row.flipped { -1.0 } else { 1.0 };
+                Some(normalize(-flip * slack_sign * self.at(obj, row.slack)))
+            })
+            .collect();
+        (values, duals)
+    }
+
     /// Full-width Gauss-Jordan elimination: scale the pivot row by `inv`,
     /// then sweep every other row with a nonzero pivot-column entry.
     fn dense_pivot(&mut self, pivot_row: usize, pivot_col: usize, inv: f64) {
@@ -428,10 +466,16 @@ impl Tableau {
     }
 }
 
-/// Result of [`solve_standard_form_full`]: structural values plus the
-/// optimal basis and pivot counters.
+/// An optimum read off a final tableau: structural values and row duals
+/// (minimization sense, `None` for equalities).
+pub(crate) type Optimum = (Vec<f64>, Vec<Option<f64>>);
+
+/// Result of [`solve_standard_form_full`]: structural values, row duals
+/// (minimization sense, `None` for equalities) plus the optimal basis and
+/// pivot counters.
 pub(crate) struct FullSolution {
     pub(crate) values: Vec<f64>,
+    pub(crate) duals: Vec<Option<f64>>,
     pub(crate) basis: Basis,
     pub(crate) stats: SolveStats,
 }
@@ -607,17 +651,7 @@ fn solve_standard_form_inner(
     // Artificials may not re-enter.
     t.optimize(t.artificial_start, &mut iterations)?;
 
-    // Extract structural solution, normalizing negative zeros so sparse and
-    // dense pivot modes return bit-identical values.
-    let mut values = vec![0.0; n];
-    let rhs = t.rhs_col();
-    for r in 0..t.rows - 1 {
-        let b = t.basis[r];
-        if b < n {
-            let v = t.at(r, rhs);
-            values[b] = if v == 0.0 { 0.0 } else { v };
-        }
-    }
+    let (values, duals) = t.extract(n, &layout);
     let unique = t.optimum_is_unique(tol);
     let snapshot = capture.then(|| TableauSnapshot {
         // A non-unique optimum is refused by the warm path in O(1), so
@@ -644,7 +678,7 @@ fn solve_standard_form_inner(
         unique,
     };
     let stats = std::mem::take(&mut t.stats);
-    Ok((FullSolution { values, basis, stats }, snapshot))
+    Ok((FullSolution { values, duals, basis, stats }, snapshot))
 }
 
 pub(crate) fn effective_sense(sense: ConstraintSense, flipped: bool) -> ConstraintSense {
@@ -889,6 +923,92 @@ mod tests {
         let s_bits: Vec<u64> = s_sol.values.iter().map(|v| v.to_bits()).collect();
         let d_bits: Vec<u64> = d_sol.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(s_bits, d_bits);
+        let dual_bits =
+            |s: &crate::Solution| s.duals.iter().map(|y| y.map(f64::to_bits)).collect::<Vec<_>>();
+        assert_eq!(dual_bits(&s_sol), dual_bits(&d_sol));
+    }
+
+    /// Solves `lp` in both pivot modes, asserts the duals agree bit for
+    /// bit, and returns the sparse solution.
+    fn solve_both_modes(lp: &mut LinearProgram) -> crate::Solution {
+        lp.set_options(SimplexOptions { pivot_mode: PivotMode::Dense, ..Default::default() });
+        let dense = lp.solve().unwrap();
+        lp.set_options(SimplexOptions { pivot_mode: PivotMode::Sparse, ..Default::default() });
+        let sparse = lp.solve().unwrap();
+        let bits = |s: &crate::Solution| -> Vec<Option<u64>> {
+            s.duals.iter().map(|y| y.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(&sparse), bits(&dense), "pivot modes disagree on duals");
+        sparse
+    }
+
+    fn assert_duals(sol: &crate::Solution, expected: &[Option<f64>]) {
+        assert_eq!(sol.duals.len(), expected.len());
+        for (row, (got, want)) in sol.duals.iter().zip(expected).enumerate() {
+            match (got, want) {
+                (Some(g), Some(w)) => assert!((g - w).abs() < EPS, "row {row}: {g} vs {w}"),
+                (None, None) => {}
+                _ => panic!("row {row}: {got:?} vs {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn duals_of_a_maximization_are_its_shadow_prices() {
+        // max 3x + 5y  s.t.  x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18: optimum (2, 6),
+        // 36. Raising the second RHS by one moves the optimum to
+        // (5/3, 6.5) = 37.5 and the third to (7/3, 6) = 37, so the shadow
+        // prices are (0, 1.5, 1); Σ b·y = 12·1.5 + 18·1 = 36.
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable("x", 3.0);
+        let y = lp.add_variable("y", 5.0);
+        lp.add_le(&[(x, 1.0)], 4.0);
+        lp.add_le(&[(y, 2.0)], 12.0);
+        lp.add_le(&[(x, 3.0), (y, 2.0)], 18.0);
+        let sol = solve_both_modes(&mut lp);
+        assert!((sol.objective - 36.0).abs() < EPS);
+        assert_duals(&sol, &[Some(0.0), Some(1.5), Some(1.0)]);
+    }
+
+    #[test]
+    fn duals_of_negative_rhs_rows_keep_the_declared_sign() {
+        // min 2x + 3y  s.t.
+        //   -x - y ≤ -4    (a ≤ row flipped to x + y ≥ 4)
+        //        y ≥ 1     (a ≥ row, slack at the optimum)
+        //       -x ≥ -2.5  (a ≥ row flipped to x ≤ 2.5)
+        // Optimum x = 2.5, y = 1.5, cost 9.5. Raising the first RHS by δ
+        // lets y drop by δ (-3 per unit); raising the third by δ forces x
+        // down and y up by δ (+1 per unit). Σ b·y = 12 - 2.5 = 9.5.
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let x = lp.add_variable("x", 2.0);
+        let y = lp.add_variable("y", 3.0);
+        lp.add_le(&[(x, -1.0), (y, -1.0)], -4.0);
+        lp.add_ge(&[(y, 1.0)], 1.0);
+        lp.add_ge(&[(x, -1.0)], -2.5);
+        let sol = solve_both_modes(&mut lp);
+        assert!((sol.objective - 9.5).abs() < EPS);
+        assert_duals(&sol, &[Some(-3.0), Some(0.0), Some(1.0)]);
+    }
+
+    #[test]
+    fn duals_survive_a_phase1_dropped_row() {
+        // min x + 2y  s.t.  x + y = 4 (twice), x ≤ 3, y ≤ 5. Phase 1 drops
+        // one copy of the equality, shifting the surviving rows; the duals
+        // must still line up with the declared constraints. Optimum
+        // (3, 1), cost 5; raising x's bound trades y for x at -1 per unit.
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let x = lp.add_variable("x", 1.0);
+        let y = lp.add_variable("y", 2.0);
+        lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_eq(&[(x, 1.0), (y, 1.0)], 4.0);
+        lp.add_le(&[(x, 1.0)], 3.0);
+        lp.add_le(&[(y, 1.0)], 5.0);
+        let (_, basis, _) = lp.solve_with_basis().unwrap();
+        assert_eq!(basis.kept_rows.len(), 3, "phase 1 must drop the duplicate row");
+        let sol = solve_both_modes(&mut lp);
+        assert!((sol.objective - 5.0).abs() < EPS);
+        assert_duals(&sol, &[None, None, Some(-1.0), Some(0.0)]);
+        assert_eq!(sol.dual(2), Some(-1.0));
     }
 
     #[test]

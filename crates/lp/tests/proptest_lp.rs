@@ -147,6 +147,10 @@ proptest! {
         let dense = dense_lp.solve().expect("feasible bounded LP must solve");
         prop_assert_eq!(sparse.values, dense.values, "pivot modes diverged");
         prop_assert_eq!(sparse.objective.to_bits(), dense.objective.to_bits());
+        let dual_bits = |duals: &[Option<f64>]| -> Vec<Option<u64>> {
+            duals.iter().map(|y| y.map(f64::to_bits)).collect()
+        };
+        prop_assert_eq!(dual_bits(&sparse.duals), dual_bits(&dense.duals), "duals diverged");
     }
 
     /// Resolving from a captured tableau snapshot after loosening the

@@ -428,6 +428,17 @@ mod tests {
     }
 
     #[test]
+    fn path_master_module_is_in_scope() {
+        // The min-max-load column generation reads LP duals and emits the
+        // routing tables every min-max consumer prints from, so all four
+        // determinism and unit rules must cover it — pin that a scope
+        // refactor cannot drop the `mcf/` submodule directory.
+        let path = "crates/core/src/mcf/path_master.rs";
+        let src = "use std::collections::HashMap;\nlet t = Instant::now();\npub fn x() -> f64;\n";
+        assert_eq!(rules_of(&lint_file(path, src)), ["f64-api", "hash-container", "wall-clock"]);
+    }
+
+    #[test]
     fn lp_modules_are_in_scope() {
         // PR 10 moved the warm-start machinery into `noc-lp`; the solver
         // feeds every routing result, so the determinism rules
