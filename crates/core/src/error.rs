@@ -45,6 +45,13 @@ pub enum MapError {
         /// Largest node count the mapper supports.
         limit: usize,
     },
+    /// A routine that needs every core placed got a partial mapping.
+    IncompleteMapping {
+        /// Number of cores the mapping places.
+        placed: usize,
+        /// Number of cores in the application.
+        cores: usize,
+    },
     /// An MCF linear program failed to solve.
     Lp(SolveError),
 }
@@ -67,6 +74,9 @@ impl fmt::Display for MapError {
             }
             MapError::TopologyTooLarge { nodes, limit } => {
                 write!(f, "the topology has {nodes} nodes but this mapper supports at most {limit}")
+            }
+            MapError::IncompleteMapping { placed, cores } => {
+                write!(f, "the mapping places {placed} of the application's {cores} cores")
             }
             MapError::Lp(e) => write!(f, "multi-commodity flow LP failed: {e}"),
         }

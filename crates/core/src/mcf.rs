@@ -18,11 +18,17 @@
 //! ([`PathScope::Quadrant`]) yields the equal-hop-delay NMAPTM variant of
 //! Equation 10; [`PathScope::AllPaths`] is the unrestricted NMAPTA.
 //!
-//! MCF1 and MCF2 are solved in this edge formulation. The min-max-load
-//! program is solved in its path form by column generation (the
-//! `path_master` module, DESIGN.md §20): a restricted master over a few
-//! paths per commodity, grown by shortest-path pricing under the link
-//! duals. Its edge formulation stays as the differential test oracle (and
+//! The min-max-load program is solved in its path form by column
+//! generation (the `path_master` module, DESIGN.md §20): a restricted
+//! master over a few paths per commodity, grown by shortest-path pricing
+//! under the link duals. The same module solves the path forms of MCF1 and
+//! MCF2 (MCF2 in two phases, MCF1 first), which score every swap candidate
+//! of [`crate::map_with_splitting`] and extract its final flow.
+//!
+//! [`solve_mcf`]'s MCF1 and MCF2 stay in this edge formulation: the
+//! engine's `mcf-*` route stage feeds their tables to the simulator, the
+//! DSP sizing flow reads them, and they are the differential oracle of the
+//! path forms. The edge min-max program is kept as an oracle too (and
 //! behind the warm-start entry point [`solve_mcf_warm`]).
 
 use std::collections::BTreeMap;
@@ -33,7 +39,7 @@ use noc_lp::{LinearProgram, Sense, SimplexOptions, SolveError, TableauSnapshot, 
 use crate::routing::{LinkLoads, RoutingTables, SplitRoute};
 use crate::{Commodity, MapError, Mapping, MappingProblem, Result};
 
-mod path_master;
+pub(crate) mod path_master;
 
 /// Which links each commodity may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,25 +95,41 @@ pub struct McfSolution {
 /// (DESIGN.md §19).
 pub const FLOW_EPSILON: f64 = 1e-6;
 
+/// Total MCF1 slack (MB/s) at or below which a mapping counts as
+/// bandwidth-feasible: the split mapper's feasibility test, and the
+/// phase-I verdict of the path-form MCF2.
+pub(crate) const SLACK_EPSILON: f64 = 1e-6;
+
 /// Solves the chosen MCF program for `mapping`.
 ///
 /// # Errors
 ///
+/// * [`MapError::IncompleteMapping`] when `mapping` leaves a core unplaced.
 /// * [`MapError::Lp`] wrapping [`SolveError::Infeasible`] — only possible
 ///   for [`McfKind::FlowMin`] when the capacities cannot carry the traffic
 ///   (MCF1 and min-max load are always feasible).
 /// * Other [`MapError::Lp`] variants on solver failure.
-///
-/// # Panics
-///
-/// Panics if `mapping` is incomplete.
 pub fn solve_mcf(
     problem: &MappingProblem,
     mapping: &Mapping,
     kind: McfKind,
     scope: PathScope,
 ) -> Result<McfSolution> {
-    solve_mcf_for(problem.topology(), &problem.commodities(mapping), kind, scope)
+    solve_mcf_for(problem.topology(), &commodities_of(problem, mapping)?, kind, scope)
+}
+
+/// The commodity set of `mapping`, or [`MapError::IncompleteMapping`] when
+/// it leaves a core unplaced.
+pub(crate) fn commodities_of(
+    problem: &MappingProblem,
+    mapping: &Mapping,
+) -> Result<Vec<Commodity>> {
+    let cores = problem.cores();
+    if !mapping.is_complete(cores) {
+        let placed = cores.cores().filter(|&c| mapping.node_of(c).is_some()).count();
+        return Err(MapError::IncompleteMapping { placed, cores: cores.core_count() });
+    }
+    Ok(problem.commodities(mapping))
 }
 
 /// Solves the chosen MCF program for an explicit commodity set — the
@@ -232,8 +254,8 @@ fn solve_mcf_inner(
     capture: bool,
 ) -> Result<(McfSolution, Option<McfWarmState>, McfSolveStats)> {
     if kind == McfKind::MinMaxLoad && !capture {
-        let solution =
-            path_master::solve_min_max(topology, commodities, scope, options.unwrap_or_default())?;
+        let options = options.unwrap_or_default();
+        let solution = path_master::solve(topology, commodities, kind, scope, options)?;
         return Ok((solution, None, McfSolveStats::default()));
     }
     let mut model = McfModel::build(topology, commodities, kind, scope);
@@ -303,6 +325,11 @@ fn solve_mcf_inner(
 
 /// Checks whether a mapping admits a feasible split-traffic routing:
 /// convenience wrapper returning the MCF1 slack (0 = feasible).
+///
+/// # Errors
+///
+/// [`MapError::IncompleteMapping`] when `mapping` leaves a core unplaced;
+/// [`MapError::Lp`] on solver failure.
 // lint: allow(f64-api) — slack is signed (negative = infeasible), outside
 // the non-negative quantity range.
 pub fn mcf1_slack(problem: &MappingProblem, mapping: &Mapping, scope: PathScope) -> Result<f64> {
@@ -595,6 +622,23 @@ mod tests {
         assert!((q - 150.0).abs() < 1e-4, "quadrant slack {q}");
         let a = mcf1_slack(&p, &m, PathScope::AllPaths).unwrap();
         assert!(a < 1e-6);
+    }
+
+    /// A partial mapping is a typed error from every entry point, not a
+    /// panic inside the commodity construction.
+    #[test]
+    fn incomplete_mapping_is_a_typed_error() {
+        let (p, _) = one_flow_problem(150.0, 300.0);
+        let mut m = Mapping::new(4);
+        m.place(noc_graph::CoreId::new(0), NodeId::new(0));
+        let expected = MapError::IncompleteMapping { placed: 1, cores: 2 };
+        for kind in [McfKind::SlackMin, McfKind::FlowMin, McfKind::MinMaxLoad] {
+            for scope in [PathScope::Quadrant, PathScope::AllPaths] {
+                assert_eq!(solve_mcf(&p, &m, kind, scope).unwrap_err(), expected);
+            }
+        }
+        assert_eq!(mcf1_slack(&p, &m, PathScope::AllPaths).unwrap_err(), expected);
+        assert_eq!(expected.to_string(), "the mapping places 1 of the application's 2 cores");
     }
 
     #[test]

@@ -1,30 +1,38 @@
-//! Column generation for the min-max-load MCF: the path view of
-//! Equations 8–10 (DESIGN.md §20).
+//! Column generation for the MCF programs in their path view: Equations
+//! 8–10 (DESIGN.md §20).
 //!
 //! The edge formulation carries one variable per commodity per link and one
 //! conservation row per commodity per node. Here the **restricted master**
-//! carries only path flows `f_{k,p} ≥ 0` and the uniform capacity `λ`:
+//! carries path flows `f_{k,p} ≥ 0`, one demand row `Σ_p f_{k,p} = d_k` per
+//! commodity and one capacity row per link that some column uses. The
+//! program decides the objective and the capacity row:
 //!
 //! ```text
-//! min λ   s.t.   Σ_p f_{k,p} = d_k            (one demand row per commodity)
-//!                Σ_{(k,p) ∋ l} f_{k,p} − λ ≤ 0  (one capacity row per link)
+//! min-max load:  min λ               Σ_{(k,p) ∋ l} f_{k,p} − λ   ≤ 0
+//! MCF1:          min Σ_l s_l         Σ_{(k,p) ∋ l} f_{k,p} − s_l ≤ c_l
+//! MCF2:          min Σ |p|·f_{k,p}   Σ_{(k,p) ∋ l} f_{k,p}       ≤ c_l
 //! ```
 //!
-//! It starts from one minimal path per commodity. Each round solves the
-//! master cold, prices every link with `π_l = −y_l ≥ 0` (the capacity-row
-//! duals) and runs one shortest-path search per commodity over its links in
-//! scope. The commodity price `σ_k` — the dual of its demand row, which as
-//! an equality has no slack column to read — comes from complementary
-//! slackness: every path carrying positive flow is basic, so its reduced
-//! cost `Σ_{l∈p} π_l − σ_k` is zero. A path whose reduced cost is below
+//! MCF2 runs in two phases over one column set. Phase I is the MCF1 master:
+//! a slack above [`SLACK_EPSILON`] proves the capacities cannot carry the
+//! traffic. Phase II re-prices the same columns by hop count.
+//!
+//! Each round solves the master cold and prices every link with
+//! `π_l = −y_l ≥ 0` (the capacity-row duals). A path's reduced cost is
+//! `Σ_{l∈p} (h + π_l) − σ_k`, where the hop cost `h` is 1 under MCF2 and 0
+//! otherwise, so one shortest-path search per commodity over its links in
+//! scope finds the most negative one. The commodity price `σ_k` — the dual
+//! of its demand row, which as an equality has no slack column to read —
+//! comes from complementary slackness: every path carrying positive flow is
+//! basic, so its reduced cost is zero. A path whose reduced cost is below
 //! `−PRICING_TOLERANCE · max(1, σ_k)` joins the master; the loop stops when
 //! no commodity has one, which is the LP optimality condition of the full
 //! path program and hence of the edge program.
 
 use noc_graph::{LinkId, NodeId, QuadrantDag, Topology};
-use noc_lp::{LinearProgram, Sense, SimplexOptions, Solution, SolveError};
+use noc_lp::{LinearProgram, Sense, SimplexOptions, SolveError, VarId};
 
-use super::{McfKind, McfSolution, PathScope, FLOW_EPSILON};
+use super::{McfKind, McfSolution, PathScope, FLOW_EPSILON, SLACK_EPSILON};
 use crate::routing::{RoutingTables, SplitRoute};
 use crate::{Commodity, MapError, Result};
 
@@ -34,8 +42,8 @@ use crate::{Commodity, MapError, Result};
 /// re-qualifies through round-off.
 const PRICING_TOLERANCE: f64 = 1e-9;
 
-/// Cap on pricing rounds. Every round adds at least one path not yet in
-/// the master, so the loop terminates on its own; the cap turns a
+/// Cap on pricing rounds per phase. Every round adds at least one path not
+/// yet in the master, so the loop terminates on its own; the cap turns a
 /// pathological instance into [`SolveError::IterationLimit`] instead of an
 /// unbounded run.
 const MAX_ROUNDS: usize = 10_000;
@@ -51,11 +59,27 @@ struct Demand<'a> {
     paths: Vec<Vec<LinkId>>,
 }
 
-/// Solves the min-max-load program by column generation; `options` govern
-/// every master solve.
-pub(super) fn solve_min_max(
+/// The optimum of one restricted master.
+struct MasterOptimum {
+    objective: f64,
+    /// Path flows, one vector per demand in column order.
+    flows: Vec<Vec<f64>>,
+    /// Link prices `π_l`, zero for links no column uses.
+    prices: Vec<f64>,
+}
+
+/// Solves the `kind` program by column generation; `options` govern every
+/// master solve.
+///
+/// # Errors
+///
+/// [`SolveError::Infeasible`] when a commodity's destination is unreachable
+/// in scope, or for [`McfKind::FlowMin`] when the least total slack exceeds
+/// [`SLACK_EPSILON`]; [`SolveError::IterationLimit`] past [`MAX_ROUNDS`].
+pub(crate) fn solve(
     topology: &Topology,
     commodities: &[Commodity],
+    kind: McfKind,
     scope: PathScope,
     options: SimplexOptions,
 ) -> Result<McfSolution> {
@@ -74,83 +98,113 @@ pub(super) fn solve_min_max(
         demands.push(demand);
     }
 
-    let mut objective = 0.0;
-    let mut flows: Vec<Vec<f64>> = Vec::new();
-    if !demands.is_empty() {
-        let mut rounds = 0usize;
-        loop {
-            rounds += 1;
-            if rounds > MAX_ROUNDS {
-                return Err(MapError::Lp(SolveError::IterationLimit));
+    let (objective, flows) = match kind {
+        McfKind::FlowMin => {
+            let (slack, _) = generate(topology, &mut demands, McfKind::SlackMin, options)?;
+            if slack > SLACK_EPSILON {
+                return Err(MapError::Lp(SolveError::Infeasible));
             }
-            let (solution, prices) = solve_master(topology, &demands, options)?;
-            flows = split_by_demand(&demands, &solution);
-            objective = solution.objective;
-            let mut added = false;
-            for (demand, flow) in demands.iter_mut().zip(&flows) {
-                let length = |path: &[LinkId]| path.iter().map(|l| prices[l.index()]).sum::<f64>();
-                let basic = demand.paths.iter().zip(flow).find(|&(_, &f)| f > 0.0);
-                // At a feasible master some path of a positive demand
-                // carries flow; the minimum over the columns is the same
-                // dual-feasible bound should round-off zero them all.
-                let sigma = match basic {
-                    Some((path, _)) => length(path),
-                    None => demand.paths.iter().map(|p| length(p)).fold(f64::INFINITY, f64::min),
-                };
-                let Some((path, distance)) = shortest_path(topology, &prices, demand) else {
-                    continue;
-                };
-                if distance - sigma < -PRICING_TOLERANCE * sigma.max(1.0)
-                    && !demand.paths.contains(&path)
-                {
-                    demand.paths.push(path);
-                    added = true;
-                }
-            }
-            if !added {
-                break;
-            }
+            generate(topology, &mut demands, McfKind::FlowMin, options)?
         }
-    }
-
+        McfKind::SlackMin | McfKind::MinMaxLoad => generate(topology, &mut demands, kind, options)?,
+    };
     let tables = route_tables(commodities, &demands, &flows);
     let link_loads = tables.link_loads(topology, commodities);
-    Ok(McfSolution { kind: McfKind::MinMaxLoad, objective, link_loads, tables })
+    Ok(McfSolution { kind, objective, link_loads, tables })
 }
 
-/// Builds and solves the restricted master over the current columns.
-/// Returns the solution (variable 0 is `λ`, then the path columns demand by
-/// demand) and the link prices `π_l`, zero for links no column uses.
+/// Grows the columns of `demands` until the `kind` master is optimal for
+/// the full path program; returns its objective and path flows.
+fn generate(
+    topology: &Topology,
+    demands: &mut [Demand],
+    kind: McfKind,
+    options: SimplexOptions,
+) -> Result<(f64, Vec<Vec<f64>>)> {
+    if demands.is_empty() {
+        return Ok((0.0, Vec::new()));
+    }
+    let hop_cost = if kind == McfKind::FlowMin { 1.0 } else { 0.0 };
+    for _ in 0..MAX_ROUNDS {
+        let MasterOptimum { objective, flows, prices } =
+            solve_master(topology, demands, kind, options)?;
+        let weights: Vec<f64> = prices.iter().map(|p| hop_cost + p).collect();
+        let mut added = false;
+        for (demand, flow) in demands.iter_mut().zip(&flows) {
+            let length = |path: &[LinkId]| path.iter().map(|l| weights[l.index()]).sum::<f64>();
+            let basic = demand.paths.iter().zip(flow).find(|&(_, &f)| f > 0.0);
+            // At a feasible master some path of a positive demand carries
+            // flow; the minimum over the columns is the same dual-feasible
+            // bound should round-off zero them all.
+            let sigma = match basic {
+                Some((path, _)) => length(path),
+                None => demand.paths.iter().map(|p| length(p)).fold(f64::INFINITY, f64::min),
+            };
+            let Some((path, distance)) = shortest_path(topology, &weights, demand) else {
+                continue;
+            };
+            if distance - sigma < -PRICING_TOLERANCE * sigma.max(1.0)
+                && !demand.paths.contains(&path)
+            {
+                demand.paths.push(path);
+                added = true;
+            }
+        }
+        if !added {
+            return Ok((objective, flows));
+        }
+    }
+    Err(MapError::Lp(SolveError::IterationLimit))
+}
+
+/// Builds and solves the `kind` restricted master over the current columns.
 fn solve_master(
     topology: &Topology,
     demands: &[Demand],
+    kind: McfKind,
     options: SimplexOptions,
-) -> Result<(Solution, Vec<f64>)> {
+) -> Result<MasterOptimum> {
     let mut lp = LinearProgram::new(Sense::Minimize);
     lp.set_options(options);
-    let lambda = lp.add_variable("lambda", 1.0);
+    let lambda = (kind == McfKind::MinMaxLoad).then(|| lp.add_variable("lambda", 1.0));
     let mut per_link = vec![Vec::new(); topology.link_count()];
+    let mut columns: Vec<Vec<VarId>> = Vec::with_capacity(demands.len());
     for demand in demands {
-        let terms: Vec<_> = demand
+        let vars: Vec<VarId> = demand
             .paths
             .iter()
             .map(|path| {
-                let var = lp.add_variable("f", 0.0);
+                let cost = if kind == McfKind::FlowMin { path.len() as f64 } else { 0.0 };
+                let var = lp.add_variable("f", cost);
                 for l in path {
                     per_link[l.index()].push((var, 1.0));
                 }
-                (var, 1.0)
+                var
             })
             .collect();
+        let terms: Vec<_> = vars.iter().map(|&var| (var, 1.0)).collect();
         lp.add_eq(&terms, demand.value);
+        columns.push(vars);
     }
     let mut capacity_rows = Vec::new();
     for (link, mut terms) in per_link.into_iter().enumerate() {
-        if !terms.is_empty() {
-            terms.push((lambda, -1.0));
-            lp.add_le(&terms, 0.0);
-            capacity_rows.push(link);
+        if terms.is_empty() {
+            continue;
         }
+        let capacity = topology.link(LinkId::new(link)).capacity.to_f64();
+        // The column that absorbs the row's excess: the shared λ, the
+        // row's own slack, or none under hard capacities.
+        let excess = match kind {
+            McfKind::MinMaxLoad => lambda,
+            McfKind::SlackMin => Some(lp.add_variable("s", 1.0)),
+            McfKind::FlowMin => None,
+        };
+        if let Some(var) = excess {
+            terms.push((var, -1.0));
+        }
+        let rhs = if kind == McfKind::MinMaxLoad { 0.0 } else { capacity };
+        lp.add_le(&terms, rhs);
+        capacity_rows.push(link);
     }
     let solution = lp.solve()?;
     let mut prices = vec![0.0; topology.link_count()];
@@ -160,20 +214,9 @@ fn solve_master(
         // path search sees non-negative weights.
         prices[link] = (-dual).max(0.0);
     }
-    Ok((solution, prices))
-}
-
-/// The master's path flows, one vector per demand in column order.
-fn split_by_demand(demands: &[Demand], solution: &Solution) -> Vec<Vec<f64>> {
-    let mut next = 1; // variable 0 is λ
-    demands
-        .iter()
-        .map(|demand| {
-            let flows = solution.values[next..next + demand.paths.len()].to_vec();
-            next += demand.paths.len();
-            flows
-        })
-        .collect()
+    let flows =
+        columns.iter().map(|vars| vars.iter().map(|&var| solution.value(var)).collect()).collect();
+    Ok(MasterOptimum { objective: solution.objective, flows, prices })
 }
 
 /// Routing tables from the positive path columns. A column counts as
@@ -271,8 +314,8 @@ mod tests {
     use crate::{map_single_path, Mapping, MappingProblem, SinglePathOptions};
 
     fn edge_lambda(topology: &Topology, commodities: &[Commodity], scope: PathScope) -> f64 {
-        let model = McfModel::build(topology, commodities, McfKind::MinMaxLoad, scope);
-        model.lp.solve().expect("the edge min-max LP is always feasible").objective
+        edge_objective(topology, commodities, McfKind::MinMaxLoad, scope)
+            .expect("the edge min-max LP is always feasible")
     }
 
     fn cg_lambda(topology: &Topology, commodities: &[Commodity], scope: PathScope) -> f64 {
@@ -315,10 +358,132 @@ mod tests {
     }
 
     fn fabric(kind: usize, w: usize, h: usize) -> Topology {
+        fabric_at(kind, w, h, 1e9)
+    }
+
+    fn fabric_at(kind: usize, w: usize, h: usize, capacity: f64) -> Topology {
         match kind {
-            0 => Topology::mesh(w, h, 1e9),
-            1 => Topology::torus(w.max(3), h.max(3), 1e9),
-            _ => Topology::mesh_nd(&[4, 4, 2], 1e9).expect("valid dims"),
+            0 => Topology::mesh(w, h, capacity),
+            1 => Topology::torus(w.max(3), h.max(3), capacity),
+            _ => Topology::mesh_nd(&[4, 4, 2], capacity).expect("valid dims"),
+        }
+    }
+
+    /// The edge formulation's optimum of `kind`, or `None` when it reports
+    /// the program infeasible.
+    fn edge_objective(
+        topology: &Topology,
+        commodities: &[Commodity],
+        kind: McfKind,
+        scope: PathScope,
+    ) -> Option<f64> {
+        match McfModel::build(topology, commodities, kind, scope).lp.solve() {
+            Ok(solution) => Some(solution.objective),
+            Err(SolveError::Infeasible) => None,
+            Err(e) => panic!("edge {kind:?} LP failed: {e}"),
+        }
+    }
+
+    /// Checks a path-form solution independently of the solver: every
+    /// route runs contiguously and simply from its commodity's source to
+    /// its destination (minimally under `Quadrant`), fractions sum to 1,
+    /// loads recomputed from the tables equal the reported loads, MCF2
+    /// loads fit the capacities, and the objective is what the loads say:
+    /// the total flow for MCF2, the total excess over capacity for MCF1.
+    fn check_solution(
+        topology: &Topology,
+        commodities: &[Commodity],
+        scope: PathScope,
+        sol: &McfSolution,
+    ) -> std::result::Result<(), String> {
+        let mut loads = vec![0.0; topology.link_count()];
+        for c in commodities {
+            let routes = sol.tables.routes_of(c.edge);
+            if c.value.is_zero() || c.source == c.dest {
+                if !routes.is_empty() {
+                    return Err(format!("idle commodity {} has routes", c.edge));
+                }
+                continue;
+            }
+            if routes.is_empty() {
+                return Err(format!("commodity {} has no route", c.edge));
+            }
+            let mut total = 0.0;
+            for route in routes {
+                if route.fraction.is_nan() || route.fraction <= 0.0 {
+                    return Err(format!("commodity {}: fraction {}", c.edge, route.fraction));
+                }
+                total += route.fraction;
+                let mut at = c.source;
+                let mut visited = vec![c.source];
+                for &id in &route.links {
+                    let link = topology.link(id);
+                    if link.src != at || visited.contains(&link.dst) {
+                        return Err(format!("commodity {}: link {id} breaks the path", c.edge));
+                    }
+                    visited.push(link.dst);
+                    at = link.dst;
+                    loads[id.index()] += c.value.to_f64() * route.fraction;
+                }
+                if at != c.dest {
+                    return Err(format!("commodity {}: route ends at {at}", c.edge));
+                }
+                let minimal = topology.hop_distance(c.source, c.dest);
+                if scope == PathScope::Quadrant && route.links.len() != minimal {
+                    return Err(format!("commodity {}: non-minimal quadrant route", c.edge));
+                }
+            }
+            if (total - 1.0).abs() > 1e-9 {
+                return Err(format!("commodity {}: fractions sum to {total}", c.edge));
+            }
+        }
+        let (mut flow, mut excess) = (0.0, 0.0);
+        for (id, link) in topology.links() {
+            let (recomputed, reported) = (loads[id.index()], sol.link_loads.get(id));
+            if (recomputed - reported).abs() > 1e-9 * reported.max(1.0) {
+                return Err(format!("link {id}: tables load {recomputed}, reported {reported}"));
+            }
+            let capacity = link.capacity.to_f64();
+            if sol.kind == McfKind::FlowMin && reported > capacity + 1e-6 * capacity.max(1.0) {
+                return Err(format!("link {id}: load {reported} over capacity {capacity}"));
+            }
+            flow += reported;
+            excess += (reported - capacity).max(0.0);
+        }
+        let implied = if sol.kind == McfKind::FlowMin { flow } else { excess };
+        if (implied - sol.objective).abs() > 1e-6 * sol.objective.abs().max(1.0) {
+            return Err(format!("objective {} but the loads imply {implied}", sol.objective));
+        }
+        Ok(())
+    }
+
+    /// Path-form MCF1 and MCF2 against the edge oracle: objectives within
+    /// `1e-9·max(1, |edge|)`, the same infeasibility verdict, and
+    /// well-formed tables.
+    fn assert_slack_and_flow_agree(topology: &Topology, commodities: &[Commodity]) {
+        for scope in [PathScope::Quadrant, PathScope::AllPaths] {
+            for kind in [McfKind::SlackMin, McfKind::FlowMin] {
+                let at = format!("{kind:?} {scope:?} on {}", topology.kind().describe());
+                let paths = solve(topology, commodities, kind, scope, SimplexOptions::default());
+                match (paths, edge_objective(topology, commodities, kind, scope)) {
+                    (Ok(sol), Some(edge)) => {
+                        assert!(
+                            (sol.objective - edge).abs() <= 1e-9 * edge.abs().max(1.0),
+                            "{at}: column generation {} vs edge LP {edge}",
+                            sol.objective
+                        );
+                        if let Err(e) = check_solution(topology, commodities, scope, &sol) {
+                            panic!("{at}: {e}");
+                        }
+                    }
+                    (Err(MapError::Lp(SolveError::Infeasible)), None) => {
+                        assert_eq!(kind, McfKind::FlowMin, "{at}: only MCF2 can be infeasible");
+                    }
+                    (paths, edge) => {
+                        panic!("{at}: column generation {paths:?} vs edge LP {edge:?}")
+                    }
+                }
+            }
         }
     }
 
@@ -342,6 +507,25 @@ mod tests {
             for scope in [PathScope::Quadrant, PathScope::AllPaths] {
                 assert_agrees(&topology, &commodities, scope);
             }
+        }
+
+        /// MCF1 and MCF2 on seeded random graphs with fractional demands,
+        /// under non-round capacities tight enough that some MCF2
+        /// instances are infeasible.
+        #[test]
+        fn slack_and_flow_min_match_the_edge_oracle(
+            kind in 0usize..3,
+            w in 2usize..5,
+            h in 2usize..4,
+            cores in 2usize..9,
+            seed in 0u64..1_000_000,
+            capacity in 60.0f64..900.0,
+        ) {
+            let topology = fabric_at(kind, w, h, capacity);
+            let cores = cores.min(topology.node_count());
+            let graph = RandomGraphConfig { cores, ..RandomGraphConfig::default() }.generate(seed);
+            let commodities = scattered(graph, topology.clone(), seed);
+            assert_slack_and_flow_agree(&topology, &commodities);
         }
 
         /// Single-commodity programs: the solo-sizing path of Figure 5(c).
@@ -388,6 +572,41 @@ mod tests {
             let idle = solve_mcf_for(&topology, &commodities[..2], McfKind::MinMaxLoad, scope);
             assert_eq!(idle.unwrap().objective, 0.0);
         }
+    }
+
+    /// Idle commodities and a slack that must be split: one 300 MB/s flow
+    /// between adjacent nodes of a 2×2 mesh of 100 MB/s links leaves 100
+    /// MB/s of excess (MCF1) and no feasible MCF2.
+    #[test]
+    fn slack_and_flow_min_on_small_cases() {
+        let at = NodeId::new;
+        let commodity = |edge: usize, value: f64, source: usize, dest: usize| Commodity {
+            edge: EdgeId::new(edge),
+            value: Mbps::raw(value),
+            source: at(source),
+            dest: at(dest),
+        };
+        for capacity in [100.0, 150.0, 1e9] {
+            let topology = Topology::mesh(2, 2, capacity);
+            let commodities =
+                [commodity(0, 0.0, 0, 3), commodity(1, 75.5, 2, 2), commodity(2, 300.0, 0, 1)];
+            assert_slack_and_flow_agree(&topology, &commodities);
+            // Only idle commodities: nothing to route, both objectives 0.
+            for kind in [McfKind::SlackMin, McfKind::FlowMin] {
+                for scope in [PathScope::Quadrant, PathScope::AllPaths] {
+                    let idle =
+                        solve(&topology, &commodities[..2], kind, scope, SimplexOptions::default());
+                    assert_eq!(idle.unwrap().objective, 0.0);
+                }
+            }
+        }
+        let topology = Topology::mesh(2, 2, 100.0);
+        let options = SimplexOptions::default();
+        let flow = [commodity(0, 300.0, 0, 1)];
+        let slack = solve(&topology, &flow, McfKind::SlackMin, PathScope::AllPaths, options);
+        assert!((slack.unwrap().objective - 100.0).abs() < 1e-9);
+        let infeasible = solve(&topology, &flow, McfKind::FlowMin, PathScope::AllPaths, options);
+        assert_eq!(infeasible.unwrap_err(), MapError::Lp(SolveError::Infeasible));
     }
 
     /// NMAP's placement of a bundled app on a 5×4 torus, as the topology

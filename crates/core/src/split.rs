@@ -20,7 +20,11 @@
 use noc_graph::NodeId;
 use noc_units::HopMbps;
 
-use crate::mcf::{solve_mcf, McfKind, McfSolution, PathScope};
+use noc_lp::SimplexOptions;
+
+use crate::mcf::{
+    commodities_of, is_infeasible, path_master, McfKind, McfSolution, PathScope, SLACK_EPSILON,
+};
 use crate::routing::{LinkLoads, RoutingTables};
 use crate::{initialize, Mapping, MappingProblem, Result};
 
@@ -88,6 +92,12 @@ pub struct SplitOutcome {
 /// Runs NMAP with split-traffic routing (the paper's
 /// `mappingwithsplitting()` routine).
 ///
+/// Every MCF program — the per-candidate MCF1/MCF2 scores and the final
+/// flow extraction — is solved by column generation over path flows
+/// (DESIGN.md §20). A swap is accepted only when it improves the
+/// incumbent's score by more than a relative `1e-9` margin, so exact ties
+/// keep the incumbent whatever the solver's round-off.
+///
 /// # Errors
 ///
 /// [`crate::MapError::InvalidOptions`] when `options` fail
@@ -98,20 +108,51 @@ pub fn map_with_splitting(
     problem: &MappingProblem,
     options: &SplitOptions,
 ) -> Result<SplitOutcome> {
+    search(problem, options, solve_paths)
+}
+
+/// Solves one MCF program for a placement: the seam that lets the
+/// trajectory tests run the search on the edge LP.
+type Solver = fn(&MappingProblem, &Mapping, McfKind, PathScope) -> Result<McfSolution>;
+
+/// The path form of the MCF programs, by column generation.
+fn solve_paths(
+    problem: &MappingProblem,
+    mapping: &Mapping,
+    kind: McfKind,
+    scope: PathScope,
+) -> Result<McfSolution> {
+    let commodities = commodities_of(problem, mapping)?;
+    path_master::solve(problem.topology(), &commodities, kind, scope, SimplexOptions::default())
+}
+
+/// The search behind [`map_with_splitting`], solving every MCF program
+/// with `solve`.
+fn search(problem: &MappingProblem, options: &SplitOptions, solve: Solver) -> Result<SplitOutcome> {
     options.check().map_err(crate::MapError::InvalidOptions)?;
     let node_count = problem.topology().node_count();
     let mut lp_solves = 0usize;
+    let mut score = |mapping: &Mapping, kind: McfKind| -> Result<f64> {
+        lp_solves += 1;
+        match solve(problem, mapping, kind, options.scope) {
+            Ok(sol) => Ok(sol.objective),
+            // A capacity-infeasible MCF2 candidate scores `maxvalue`,
+            // mirroring the single-path algorithm's treatment.
+            Err(e) if kind == McfKind::FlowMin && is_infeasible(&e) => Ok(f64::INFINITY),
+            Err(e) => Err(e),
+        }
+    };
 
     let mut placed = initialize(problem);
     let mut best = placed.clone();
 
     let mut feasible = false;
-    let mut best_slack = mcf1(problem, &placed, options.scope, &mut lp_solves)?;
+    let mut best_slack = score(&placed, McfKind::SlackMin)?;
     let mut best_flow = f64::INFINITY;
 
     if best_slack <= SLACK_EPSILON {
         feasible = true;
-        best_flow = mcf2(problem, &placed, options.scope, &mut lp_solves)?;
+        best_flow = score(&placed, McfKind::FlowMin)?;
         best = placed.clone();
     }
 
@@ -127,19 +168,19 @@ pub fn map_with_splitting(
                 candidate.swap_nodes(a, b);
 
                 if !feasible {
-                    let slack = mcf1(problem, &candidate, options.scope, &mut lp_solves)?;
+                    let slack = score(&candidate, McfKind::SlackMin)?;
                     if slack <= SLACK_EPSILON {
                         feasible = true;
-                        best_flow = mcf2(problem, &candidate, options.scope, &mut lp_solves)?;
+                        best_flow = score(&candidate, McfKind::FlowMin)?;
                         best = candidate.clone();
                         placed = candidate;
-                    } else if slack < best_slack {
+                    } else if improves(slack, best_slack) {
                         best_slack = slack;
                         best = candidate;
                     }
                 } else {
-                    let flow = mcf2(problem, &candidate, options.scope, &mut lp_solves)?;
-                    if flow < best_flow {
+                    let flow = score(&candidate, McfKind::FlowMin)?;
+                    if improves(flow, best_flow) {
                         best_flow = flow;
                         best = candidate;
                     }
@@ -150,11 +191,8 @@ pub fn map_with_splitting(
     }
 
     // Final flow extraction on the winning mapping.
-    let final_solution: McfSolution = if feasible {
-        solve_mcf(problem, &best, McfKind::FlowMin, options.scope)?
-    } else {
-        solve_mcf(problem, &best, McfKind::SlackMin, options.scope)?
-    };
+    let kind = if feasible { McfKind::FlowMin } else { McfKind::SlackMin };
+    let final_solution = solve(problem, &best, kind, options.scope)?;
     let slack = if feasible { 0.0 } else { final_solution.objective };
     let total_flow = if feasible { final_solution.objective } else { f64::INFINITY };
 
@@ -170,33 +208,20 @@ pub fn map_with_splitting(
     })
 }
 
-/// Slack below which a mapping counts as bandwidth-feasible (MB/s).
-const SLACK_EPSILON: f64 = 1e-6;
+/// Relative margin by which a swap must lower the incumbent's MCF1 slack
+/// or MCF2 flow to be accepted. Two solvers of one program agree to a few
+/// ulps, not bit for bit; the margin makes an exact tie keep the incumbent
+/// under either, so round-off never steers the search.
+const TIE_TOLERANCE: f64 = 1e-9;
 
-fn mcf1(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    scope: PathScope,
-    lp_solves: &mut usize,
-) -> Result<f64> {
-    *lp_solves += 1;
-    Ok(solve_mcf(problem, mapping, McfKind::SlackMin, scope)?.objective)
-}
-
-fn mcf2(
-    problem: &MappingProblem,
-    mapping: &Mapping,
-    scope: PathScope,
-    lp_solves: &mut usize,
-) -> Result<f64> {
-    *lp_solves += 1;
-    match solve_mcf(problem, mapping, McfKind::FlowMin, scope) {
-        Ok(sol) => Ok(sol.objective),
-        // A capacity-infeasible candidate scores `maxvalue`, mirroring the
-        // single-path algorithm's treatment.
-        Err(e) if crate::mcf::is_infeasible(&e) => Ok(f64::INFINITY),
-        Err(e) => Err(e),
+/// True when `value` beats `best` by more than `TIE_TOLERANCE·max(1, best)`.
+fn improves(value: f64, best: f64) -> bool {
+    // An infinite incumbent (a capacity-infeasible MCF2) yields to any
+    // finite score.
+    if best.is_infinite() {
+        return value < best;
     }
+    best - value > TIE_TOLERANCE * best.max(1.0)
 }
 
 #[cfg(test)]
@@ -299,5 +324,106 @@ mod tests {
                 "link {id} mismatch"
             );
         }
+    }
+
+    /// Scores that improve on the incumbent by an ulp or two are ties.
+    #[test]
+    fn ulp_level_improvements_are_ties() {
+        for best in [0.5f64, 1.0, 4184.0, 1.0e6] {
+            let ulps_below = f64::from_bits(best.to_bits() - 4);
+            assert!(!improves(ulps_below, best), "{ulps_below} vs {best}");
+            assert!(!improves(best, best));
+            assert!(improves(best - 2e-9 * best.max(1.0), best));
+        }
+        assert!(improves(1.0e4, f64::INFINITY));
+        assert!(!improves(f64::INFINITY, f64::INFINITY));
+    }
+
+    thread_local! {
+        static CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A solver whose every score (a positive MCF1 slack, or an MCF2 flow)
+    /// is one ulp below the previous one: each swap candidate "improves" on
+    /// the incumbent by exactly that ulp.
+    fn ulp_descending(
+        problem: &MappingProblem,
+        mapping: &Mapping,
+        kind: McfKind,
+        scope: PathScope,
+    ) -> Result<McfSolution> {
+        let mut sol = crate::mcf::solve_mcf(problem, mapping, kind, scope)?;
+        if kind == McfKind::FlowMin || sol.objective > SLACK_EPSILON {
+            let calls = CALLS.with(|c| c.replace(c.get() + 1));
+            sol.objective = f64::from_bits(1000.0f64.to_bits() - calls);
+        }
+        Ok(sol)
+    }
+
+    /// Ample capacity (MCF2 scores every swap) and links too thin for any
+    /// placement (MCF1 does).
+    #[test]
+    fn ulp_level_improvement_keeps_the_incumbent() {
+        for capacity in [1e9, 20.0] {
+            let p =
+                MappingProblem::new(pipeline(4, 100.0), Topology::mesh(3, 2, capacity)).unwrap();
+            CALLS.with(|c| c.set(0));
+            let out = search(&p, &SplitOptions::default(), ulp_descending).unwrap();
+            assert!(out.lp_solves > 10, "every swap was scored");
+            assert_eq!(out.mapping, initialize(&p), "capacity {capacity}");
+        }
+    }
+
+    /// The search takes the same trajectory — same placement, same number
+    /// of LP solves — whether it scores candidates with the path form or
+    /// with the edge LP.
+    fn assert_same_trajectory(label: &str, graph: CoreGraph, capacity: f64, scope: PathScope) {
+        let (w, h) = Topology::fit_mesh_dims(graph.core_count());
+        let p = MappingProblem::new(graph, Topology::mesh(w, h, capacity)).unwrap();
+        let options = SplitOptions { scope, passes: 1 };
+        let paths = search(&p, &options, solve_paths).unwrap();
+        let edge = search(&p, &options, crate::mcf::solve_mcf).unwrap();
+        let at = format!("{label}@{capacity} {scope:?}");
+        assert_eq!(paths.mapping, edge.mapping, "{at}");
+        assert_eq!(paths.lp_solves, edge.lp_solves, "{at}");
+        assert_eq!(paths.feasible, edge.feasible, "{at}");
+        let (a, b) = if paths.feasible {
+            (paths.total_flow, edge.total_flow)
+        } else {
+            (paths.slack, edge.slack)
+        };
+        assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{at}: paths {a} vs edge {b}");
+    }
+
+    /// `fabric-explore`'s split items: the six bundled apps on fitted
+    /// meshes at 1000 MB/s, all paths.
+    #[test]
+    fn bundled_apps_take_the_edge_lp_trajectory() {
+        for app in noc_apps::App::all() {
+            assert_same_trajectory(app.name(), app.core_graph(), 1000.0, PathScope::AllPaths);
+        }
+    }
+
+    /// The `nmap_dse --smoke` split leg: DSP at 800 MB/s, both scopes.
+    #[test]
+    fn smoke_split_leg_takes_the_edge_lp_trajectory() {
+        for scope in [PathScope::Quadrant, PathScope::AllPaths] {
+            assert_same_trajectory("DSP", noc_apps::dsp_filter(), 800.0, scope);
+        }
+    }
+
+    /// Tight capacities where no placement is feasible, so MCF1 drives the
+    /// whole search (separate tests so they run in parallel: the edge LP
+    /// takes tens of seconds on each).
+    #[test]
+    fn mpeg4_at_150_takes_the_edge_lp_trajectory() {
+        let app = noc_apps::App::Mpeg4;
+        assert_same_trajectory(app.name(), app.core_graph(), 150.0, PathScope::AllPaths);
+    }
+
+    #[test]
+    fn vopd_at_150_takes_the_edge_lp_trajectory() {
+        let app = noc_apps::App::Vopd;
+        assert_same_trajectory(app.name(), app.core_graph(), 150.0, PathScope::AllPaths);
     }
 }
