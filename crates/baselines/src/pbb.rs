@@ -23,9 +23,12 @@
 //! Completed placements are accepted only if the load-balanced
 //! minimum-path routing satisfies the link capacities — the bandwidth
 //! constraint side of the original formulation.
+//!
+//! Storage: queued nodes are 24-byte keys over one flat slab of placement
+//! prefixes (one byte per placed core), so the search allocates nothing
+//! per node; see DESIGN.md §7.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use nmap::{routing, Mapping, MappingProblem};
 use noc_graph::{CoreId, NodeId, TopologyKind};
@@ -51,8 +54,8 @@ impl PbbOptions {
     /// Checks the options, returning the first violation as a message —
     /// the single source of the budget constraints, shared by the
     /// [`crate::PbbMapper`] trait wrapper and the `.dse` spec parser.
-    /// (The bare [`pbb`] stays total: a zero budget there degenerates to
-    /// the `initialize()` fallback.)
+    /// (The bare [`pbb`] accepts a zero budget: it degenerates to the
+    /// `initialize()` fallback.)
     ///
     /// # Errors
     ///
@@ -84,63 +87,154 @@ pub struct PbbOutcome {
     pub truncated: bool,
 }
 
-#[derive(Debug, Clone)]
-struct SearchNode {
-    /// `placement[i]` hosts core `order[i]`.
-    placement: Vec<NodeId>,
-    /// Occupied nodes as a bitmask (topologies here are ≤ 128 nodes).
-    occupied: u128,
-    /// Exact cost of placed-pair communication.
-    partial_cost: f64,
+/// A queued search node. Its placement prefix (`level` node indices,
+/// one byte each) lives in the [`Queue`] slab at `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     /// `partial_cost` + admissible remainder bound.
     lower_bound: f64,
+    /// Exact cost of placed-pair communication.
+    partial_cost: f64,
+    slot: u32,
+    level: u32,
 }
 
-/// Min-heap adapter: BinaryHeap is a max-heap, so reverse the ordering.
-#[derive(Debug)]
-struct HeapNode(SearchNode);
+/// The best-first queue: a binary min-heap of [`Key`]s whose placement
+/// prefixes sit in one flat slab with stride = core count, so no queued
+/// node owns an allocation. Slots freed by a pop or a trim are reused.
+///
+/// The order is strict and total — smaller bound first, then the shorter
+/// prefix, then the lexicographically smaller placement — and a prefix
+/// identifies its node, so the pop sequence does not depend on the heap's
+/// internal layout.
+struct Queue {
+    keys: Vec<Key>,
+    /// `slab[slot * stride..][..level]` is the prefix of the key at `slot`.
+    slab: Vec<u8>,
+    stride: usize,
+    free: Vec<u32>,
+}
 
-impl PartialEq for HeapNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.lower_bound == other.0.lower_bound
+/// Most keys (and slab slots) reserved up front: a larger queue grows on
+/// demand, so a huge `max_queue` reserves no more than this.
+const MAX_RESERVED_KEYS: usize = 1 << 14;
+
+impl Queue {
+    fn new(max_live: usize, stride: usize) -> Self {
+        let reserved = max_live.min(MAX_RESERVED_KEYS);
+        Self {
+            keys: Vec::with_capacity(reserved),
+            slab: Vec::with_capacity(reserved * stride),
+            stride,
+            free: Vec::with_capacity(reserved),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Queues the child of `prefix` that places the next core on `node`.
+    fn push(&mut self, prefix: &[u8], node: u8, partial_cost: f64, lower_bound: f64) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.slab.len() / self.stride;
+            self.slab.resize(self.slab.len() + self.stride, 0);
+            u32::try_from(slot).expect("queue slots fit u32")
+        });
+        let start = slot as usize * self.stride;
+        self.slab[start..start + prefix.len()].copy_from_slice(prefix);
+        self.slab[start + prefix.len()] = node;
+        let level = u32::try_from(prefix.len() + 1).expect("levels fit u32");
+        self.keys.push(Key { lower_bound, partial_cost, slot, level });
+        self.sift_up(self.keys.len() - 1);
+    }
+
+    /// Pops the best key, copies its prefix into `prefix` and frees its
+    /// slot.
+    fn pop(&mut self, prefix: &mut Vec<u8>) -> Option<Key> {
+        if self.keys.is_empty() {
+            return None;
+        }
+        let key = self.keys.swap_remove(0);
+        self.sift_down(0);
+        prefix.clear();
+        prefix.extend_from_slice(prefix_of(&self.slab, self.stride, &key));
+        self.free.push(key.slot);
+        Some(key)
+    }
+
+    /// Keeps the `keep` best keys. A best-first sorted vector is already
+    /// a valid heap, so the trim happens in place.
+    fn trim(&mut self, keep: usize) {
+        let (slab, stride) = (&self.slab, self.stride);
+        self.keys.sort_unstable_by(|a, b| order(slab, stride, a, b));
+        self.free.extend(self.keys.drain(keep..).map(|key| key.slot));
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if order(&self.slab, self.stride, &self.keys[i], &self.keys[parent]).is_ge() {
+                break;
+            }
+            self.keys.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let len = self.keys.len();
+        loop {
+            let mut best = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < len
+                    && order(&self.slab, self.stride, &self.keys[child], &self.keys[best]).is_lt()
+                {
+                    best = child;
+                }
+            }
+            if best == i {
+                break;
+            }
+            self.keys.swap(i, best);
+            i = best;
+        }
     }
 }
-impl Eq for HeapNode {}
-impl Ord for HeapNode {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .lower_bound
-            .partial_cmp(&self.0.lower_bound)
-            .expect("bounds are finite")
-            .then_with(|| other.0.placement.len().cmp(&self.0.placement.len()))
-            .then_with(|| other.0.placement.cmp(&self.0.placement))
-    }
+
+fn prefix_of<'a>(slab: &'a [u8], stride: usize, key: &Key) -> &'a [u8] {
+    let start = key.slot as usize * stride;
+    &slab[start..start + key.level as usize]
 }
-impl PartialOrd for HeapNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The queue order: `Less` pops first.
+fn order(slab: &[u8], stride: usize, a: &Key, b: &Key) -> Ordering {
+    a.lower_bound
+        .partial_cmp(&b.lower_bound)
+        .expect("bounds are finite")
+        .then_with(|| a.level.cmp(&b.level))
+        .then_with(|| prefix_of(slab, stride, a).cmp(prefix_of(slab, stride, b)))
 }
 
 /// Largest topology [`pbb`] can search: the width of its `u128`
-/// node-occupancy bitmask (all paper-scale experiments are ≤ 81 nodes).
-pub(crate) const PBB_MAX_NODES: usize = u128::BITS as usize;
+/// node-occupancy bitmask, which also keeps every node index in the
+/// one byte a queued prefix stores per core (all paper-scale
+/// experiments are ≤ 81 nodes).
+const PBB_MAX_NODES: usize = u128::BITS as usize;
 
 /// Runs the partial branch-and-bound mapper.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the topology has more than 128 nodes (the width of the
-/// occupancy bitmask); [`crate::PbbMapper`] reports that case as
-/// [`nmap::MapError::TopologyTooLarge`] instead.
-pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
+/// [`nmap::MapError::TopologyTooLarge`] if the topology has more than 128
+/// nodes (the width of the occupancy bitmask).
+pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> nmap::Result<PbbOutcome> {
     let cores = problem.cores();
     let topology = problem.topology();
-    assert!(
-        topology.node_count() <= PBB_MAX_NODES,
-        "PBB occupancy mask supports up to {PBB_MAX_NODES} nodes"
-    );
+    let nodes = topology.node_count();
+    if nodes > PBB_MAX_NODES {
+        return Err(nmap::MapError::TopologyTooLarge { nodes, limit: PBB_MAX_NODES });
+    }
 
     // Core order: decreasing total communication demand.
     let mut order: Vec<CoreId> = cores.cores().collect();
@@ -177,22 +271,20 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
     }
 
-    let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
+    // The queue never holds more than `max_queue` keys plus one
+    // expansion's children.
+    let mut heap = Queue::new(options.max_queue.saturating_add(nodes), levels);
     // Root expansions with symmetry breaking.
     for node in first_core_candidates(problem) {
-        heap.push(HeapNode(SearchNode {
-            placement: vec![node],
-            occupied: 1u128 << node.index(),
-            partial_cost: 0.0,
-            lower_bound: remaining_weight[1],
-        }));
+        heap.push(&[], byte(node), 0.0, remaining_weight[1]);
     }
 
     let mut best: Option<(f64, Mapping)> = None;
     let mut expansions = 0usize;
     let mut truncated = false;
+    let mut placement: Vec<u8> = Vec::with_capacity(levels);
 
-    while let Some(HeapNode(node)) = heap.pop() {
+    while let Some(node) = heap.pop(&mut placement) {
         if expansions >= options.max_expansions {
             truncated = true;
             break;
@@ -203,11 +295,11 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
             }
         }
         expansions += 1;
-        let level = node.placement.len();
+        let level = placement.len();
 
         if level == levels {
             // Complete placement: accept if bandwidth-feasible.
-            let mapping = to_mapping(&order, &node.placement, topology.node_count());
+            let mapping = to_mapping(&order, &placement, nodes);
             let feasible = routing::route_min_paths(problem, &mapping)
                 .map(|(_, loads)| loads.within_capacity(topology))
                 .unwrap_or(false);
@@ -221,13 +313,15 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
 
         // Expand: place core `order[level]` on every free node.
+        let occupied = placement.iter().fold(0u128, |mask, &n| mask | 1u128 << n);
         for target in topology.nodes() {
-            if node.occupied & (1u128 << target.index()) != 0 {
+            if occupied & (1u128 << target.index()) != 0 {
                 continue;
             }
             let mut delta = 0.0;
             for &(lj, comm) in &earlier[level] {
-                delta += comm * topology.hop_distance(target, node.placement[lj]) as f64;
+                let placed = NodeId::new(usize::from(placement[lj]));
+                delta += comm * topology.hop_distance(target, placed) as f64;
             }
             let partial_cost = node.partial_cost + delta;
             let lower_bound = partial_cost + remaining_weight[level + 1];
@@ -236,23 +330,13 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
                     continue;
                 }
             }
-            let mut placement = node.placement.clone();
-            placement.push(target);
-            heap.push(HeapNode(SearchNode {
-                placement,
-                occupied: node.occupied | (1u128 << target.index()),
-                partial_cost,
-                lower_bound,
-            }));
+            heap.push(&placement, byte(target), partial_cost, lower_bound);
         }
 
         // Partial search: drop the worst entries when the queue overflows.
         if heap.len() > options.max_queue {
             truncated = true;
-            let mut entries: Vec<HeapNode> = heap.drain().collect();
-            entries.sort_by(|a, b| b.cmp(a)); // best first (Ord is reversed)
-            entries.truncate(options.max_queue / 2);
-            heap.extend(entries);
+            heap.trim(options.max_queue / 2);
         }
     }
 
@@ -275,7 +359,19 @@ pub fn pbb(problem: &MappingProblem, options: &PbbOptions) -> PbbOutcome {
         }
     };
 
-    PbbOutcome { comm_cost: problem.comm_cost(&mapping), mapping, feasible, expansions, truncated }
+    Ok(PbbOutcome {
+        comm_cost: problem.comm_cost(&mapping),
+        mapping,
+        feasible,
+        expansions,
+        truncated,
+    })
+}
+
+/// A node index as stored in a queued prefix (`pbb` has checked that every
+/// index is below [`PBB_MAX_NODES`]).
+fn byte(node: NodeId) -> u8 {
+    u8::try_from(node.index()).expect("node indices fit a byte")
 }
 
 /// Candidate nodes for the first core: one orthant of the mesh — per axis
@@ -303,10 +399,10 @@ fn first_core_candidates(problem: &MappingProblem) -> Vec<NodeId> {
     }
 }
 
-fn to_mapping(order: &[CoreId], placement: &[NodeId], node_count: usize) -> Mapping {
+fn to_mapping(order: &[CoreId], placement: &[u8], node_count: usize) -> Mapping {
     let mut mapping = Mapping::new(node_count);
     for (&core, &node) in order.iter().zip(placement) {
-        mapping.place(core, node);
+        mapping.place(core, NodeId::new(usize::from(node)));
     }
     mapping
 }
@@ -329,7 +425,7 @@ mod tests {
     fn finds_optimal_pipeline_embedding() {
         // 4-stage pipeline on 2x2: optimum = 300 (every edge adjacent).
         let p = problem(&[(0, 1, 100.0), (1, 2, 100.0), (2, 3, 100.0)], 4, 2, 2);
-        let out = pbb(&p, &PbbOptions::default());
+        let out = pbb(&p, &PbbOptions::default()).unwrap();
         assert_eq!(out.comm_cost.to_f64(), 300.0);
         assert!(out.feasible);
         assert!(!out.truncated);
@@ -339,7 +435,7 @@ mod tests {
     fn optimal_on_star_graph() {
         // Star with 4 satellites on 3x3: all satellites adjacent to hub.
         let p = problem(&[(0, 1, 100.0), (0, 2, 100.0), (0, 3, 100.0), (0, 4, 100.0)], 5, 3, 3);
-        let out = pbb(&p, &PbbOptions::default());
+        let out = pbb(&p, &PbbOptions::default()).unwrap();
         assert_eq!(out.comm_cost.to_f64(), 400.0);
     }
 
@@ -347,7 +443,7 @@ mod tests {
     fn matches_exhaustive_on_tiny_instance() {
         // 3 cores on 2x2: brute-force all placements and compare.
         let p = problem(&[(0, 1, 70.0), (1, 2, 30.0), (0, 2, 20.0)], 3, 2, 2);
-        let out = pbb(&p, &PbbOptions::default());
+        let out = pbb(&p, &PbbOptions::default()).unwrap();
 
         // Brute force.
         let nodes: Vec<NodeId> = p.topology().nodes().collect();
@@ -380,7 +476,7 @@ mod tests {
             g.add_comm(ids[2], ids[3], 100.0).unwrap();
             MappingProblem::new(g, Topology::mesh(2, 2, 120.0)).unwrap()
         };
-        let out = pbb(&p, &PbbOptions::default());
+        let out = pbb(&p, &PbbOptions::default()).unwrap();
         assert!(out.feasible);
     }
 
@@ -392,7 +488,7 @@ mod tests {
             3,
             2,
         );
-        let out = pbb(&p, &PbbOptions { max_queue: 4, max_expansions: 10 });
+        let out = pbb(&p, &PbbOptions { max_queue: 4, max_expansions: 10 }).unwrap();
         assert!(out.truncated);
         assert!(out.mapping.is_complete(p.cores()));
         // The cost is finite by type (`HopMbps` excludes NaN/infinity);
@@ -401,10 +497,19 @@ mod tests {
     }
 
     #[test]
+    fn topology_above_128_nodes_is_an_error() {
+        let p = problem(&[(0, 1, 100.0)], 2, 13, 10);
+        assert_eq!(
+            pbb(&p, &PbbOptions::default()),
+            Err(nmap::MapError::TopologyTooLarge { nodes: 130, limit: 128 })
+        );
+    }
+
+    #[test]
     fn deterministic() {
         let p = problem(&[(0, 1, 70.0), (1, 2, 362.0), (2, 3, 49.0)], 4, 2, 2);
-        let a = pbb(&p, &PbbOptions::default());
-        let b = pbb(&p, &PbbOptions::default());
+        let a = pbb(&p, &PbbOptions::default()).unwrap();
+        let b = pbb(&p, &PbbOptions::default()).unwrap();
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.comm_cost, b.comm_cost);
     }
@@ -425,8 +530,8 @@ mod tests {
             3,
             2,
         );
-        let small = pbb(&p, &PbbOptions { max_queue: 16, max_expansions: 100 });
-        let large = pbb(&p, &PbbOptions::default());
+        let small = pbb(&p, &PbbOptions { max_queue: 16, max_expansions: 100 }).unwrap();
+        let large = pbb(&p, &PbbOptions::default()).unwrap();
         assert!(large.comm_cost <= small.comm_cost);
     }
 }

@@ -6,7 +6,6 @@
 use nmap::search::{constructive_outcome_of, core_registry, MapOutcome, Mapper, Registry};
 use nmap::{EvalContext, Result};
 
-use crate::pbb::PBB_MAX_NODES;
 use crate::{gmap, pbb, pmap, PbbOptions};
 
 /// The PMAP two-phase baseline (registry name `pmap`).
@@ -78,11 +77,7 @@ impl Mapper for PbbMapper {
 
     fn map(&self, ctx: &mut EvalContext<'_>) -> Result<MapOutcome> {
         self.options.check().map_err(nmap::MapError::InvalidOptions)?;
-        let nodes = ctx.problem().topology().node_count();
-        if nodes > PBB_MAX_NODES {
-            return Err(nmap::MapError::TopologyTooLarge { nodes, limit: PBB_MAX_NODES });
-        }
-        let out = pbb(ctx.problem(), &self.options);
+        let out = pbb(ctx.problem(), &self.options)?;
         ctx.probe().counter("search.pbb_expansions").add(out.expansions as u64);
         Ok(MapOutcome {
             mapping: out.mapping,
@@ -156,7 +151,7 @@ mod tests {
         assert_eq!(out.mapping, gmap(&p));
 
         let opts = PbbOptions { max_queue: 500, max_expansions: 5_000 };
-        let legacy = pbb(&p, &opts);
+        let legacy = pbb(&p, &opts).unwrap();
         let out = PbbMapper::new(opts).map(&mut EvalContext::new(&p)).unwrap();
         assert_eq!(out.mapping, legacy.mapping);
         assert_eq!(out.comm_cost, legacy.comm_cost);

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bench::{random_instance_25, vopd_instance};
+use bench::{random_instance_25, table2_instance_65, vopd_instance};
 use nmap::{initialize, map_single_path, map_with_splitting, routing, SinglePathOptions};
 use nmap::{PathScope, SplitOptions};
 use noc_baselines::{gmap, pbb, pmap, PbbOptions};
@@ -41,7 +41,19 @@ fn bench_single_path_mappers(c: &mut Criterion) {
     group.bench_function("pmap", |b| b.iter(|| black_box(pmap(&vopd))));
     group.bench_function("gmap", |b| b.iter(|| black_box(gmap(&vopd))));
     group.bench_function("pbb_small_budget", |b| {
-        b.iter(|| black_box(pbb(&vopd, &PbbOptions { max_queue: 1_000, max_expansions: 10_000 })))
+        b.iter(|| {
+            black_box(pbb(&vopd, &PbbOptions { max_queue: 1_000, max_expansions: 10_000 }).unwrap())
+        })
+    });
+    // Table 2's budget on its largest instance: 50k expansions, so the
+    // per-expansion cost of the search loop dominates.
+    let table2 = table2_instance_65();
+    group.bench_function("pbb_table2_budget", |b| {
+        b.iter(|| {
+            black_box(
+                pbb(&table2, &PbbOptions { max_queue: 5_000, max_expansions: 50_000 }).unwrap(),
+            )
+        })
     });
     group.finish();
 }

@@ -13,13 +13,22 @@
 #![forbid(unsafe_code)]
 
 use nmap::MappingProblem;
-use noc_graph::{RandomGraphConfig, Topology};
+use noc_graph::{RandomGraphConfig, RandomGraphFamily, Topology};
 
 /// A deterministic mid-size random instance (25 cores on a 5×5 mesh) used
 /// by several benchmarks.
 pub fn random_instance_25() -> MappingProblem {
     let graph = RandomGraphConfig { cores: 25, ..Default::default() }.generate(1);
     MappingProblem::new(graph, Topology::mesh(5, 5, 1e9)).expect("fits")
+}
+
+/// Table 2's largest instance: the 65-core `RandomGraphFamily` graph 0 on
+/// its fitted mesh, as `table2_scaling` and the `mapper-scaling` benchmark
+/// map it.
+pub fn table2_instance_65() -> MappingProblem {
+    let graph = RandomGraphFamily::new(RandomGraphConfig::default()).graph(65, 0);
+    let (w, h) = Topology::fit_mesh_dims(65);
+    MappingProblem::new(graph, Topology::mesh(w, h, 1e9)).expect("fits")
 }
 
 /// The paper's VOPD instance on its 4×4 mesh with generous capacity.

@@ -193,7 +193,7 @@ fn run(args: &Args) -> Result<bool, String> {
             let mapping = match args.algorithm {
                 Algorithm::Pmap => pmap(&problem),
                 Algorithm::Gmap => gmap(&problem),
-                _ => pbb(&problem, &PbbOptions::default()).mapping,
+                _ => pbb(&problem, &PbbOptions::default()).map_err(|e| e.to_string())?.mapping,
             };
             let (_, loads) =
                 routing::route_min_paths(&problem, &mapping).map_err(|e| e.to_string())?;

@@ -28,7 +28,8 @@ pub fn run_app(app: App) -> Fig3Row {
     let problem = app_problem(app, GENEROUS_CAPACITY);
     let pmap_cost = problem.comm_cost(&pmap(&problem));
     let gmap_cost = problem.comm_cost(&gmap(&problem));
-    let pbb_out = pbb(&problem, &PbbOptions::default());
+    let pbb_out =
+        pbb(&problem, &PbbOptions::default()).expect("app mesh is within PBB's node limit");
     let nmap_out =
         map_single_path(&problem, &SinglePathOptions::default()).expect("mesh routing succeeds");
     Fig3Row {

@@ -39,7 +39,9 @@ pub fn run_app(app: App) -> Table1Row {
     let (_, pmap_loads) = routing::route_min_paths(&problem, &pmap(&problem)).expect("mesh");
     let (_, gmap_loads) = routing::route_min_paths(&problem, &gmap(&problem)).expect("mesh");
     let feasibility_problem = app_problem(app, GENEROUS_CAPACITY);
-    let pbb_mapping = pbb(&feasibility_problem, &PbbOptions::default()).mapping;
+    let pbb_mapping = pbb(&feasibility_problem, &PbbOptions::default())
+        .expect("app mesh is within PBB's node limit")
+        .mapping;
     let (_, pbb_loads) = routing::route_min_paths(&problem, &pbb_mapping).expect("mesh");
     let nmap_out =
         map_single_path(&problem, &SinglePathOptions::default()).expect("mesh routing succeeds");

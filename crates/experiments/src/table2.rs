@@ -54,6 +54,10 @@ impl Default for Table2Config {
 }
 
 /// Runs the sweep.
+///
+/// # Panics
+///
+/// Panics if a size's fitted mesh has more than 128 nodes, PBB's limit.
 pub fn run(config: &Table2Config) -> Vec<Table2Row> {
     let family = RandomGraphFamily::new(RandomGraphConfig::default());
     config
@@ -67,7 +71,10 @@ pub fn run(config: &Table2Config) -> Vec<Table2Row> {
                 let (w, h) = Topology::fit_mesh_dims(cores);
                 let problem = MappingProblem::new(graph, Topology::mesh(w, h, UNLIMITED_CAPACITY))
                     .expect("generated graph fits");
-                pbb_sum += pbb(&problem, &config.pbb).comm_cost.to_f64();
+                pbb_sum += pbb(&problem, &config.pbb)
+                    .expect("fitted mesh is within PBB's node limit")
+                    .comm_cost
+                    .to_f64();
                 nmap_sum += map_single_path(&problem, &SinglePathOptions::default())
                     .expect("mesh routing succeeds")
                     .comm_cost

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let pmap_cost = problem.comm_cost(&pmap(&problem));
         let gmap_cost = problem.comm_cost(&gmap(&problem));
-        let pbb_cost = pbb(&problem, &PbbOptions::default()).comm_cost;
+        let pbb_cost = pbb(&problem, &PbbOptions::default())?.comm_cost;
         let nmap_out = map_single_path(&problem, &SinglePathOptions::default())?;
 
         // Minimum uniform link capacity this mapping needs under each

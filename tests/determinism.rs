@@ -23,7 +23,7 @@ fn mappers_are_deterministic() {
     assert_eq!(pmap(&p), pmap(&p));
     assert_eq!(gmap(&p), gmap(&p));
     let opts = PbbOptions { max_queue: 1_000, max_expansions: 10_000 };
-    assert_eq!(pbb(&p, &opts).mapping, pbb(&p, &opts).mapping);
+    assert_eq!(pbb(&p, &opts).unwrap().mapping, pbb(&p, &opts).unwrap().mapping);
     let a = map_single_path(&p, &SinglePathOptions::default()).unwrap();
     let b = map_single_path(&p, &SinglePathOptions::default()).unwrap();
     assert_eq!(a, b);

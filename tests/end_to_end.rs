@@ -35,7 +35,7 @@ fn all_mappers_produce_valid_injective_mappings() {
     let mappings = vec![
         pmap(&problem),
         gmap(&problem),
-        pbb(&problem, &PbbOptions { max_queue: 500, max_expansions: 5_000 }).mapping,
+        pbb(&problem, &PbbOptions { max_queue: 500, max_expansions: 5_000 }).unwrap().mapping,
         map_single_path(&problem, &SinglePathOptions::default()).unwrap().mapping,
     ];
     for mapping in mappings {

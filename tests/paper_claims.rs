@@ -50,7 +50,7 @@ fn nmap_beats_pbb_at_scale() {
     let problem = MappingProblem::new(graph, Topology::mesh(w, h, 1e9)).unwrap();
     let nmap_cost = map_single_path(&problem, &SinglePathOptions::default()).unwrap().comm_cost;
     let pbb_cost =
-        pbb(&problem, &PbbOptions { max_queue: 2_000, max_expansions: 20_000 }).comm_cost;
+        pbb(&problem, &PbbOptions { max_queue: 2_000, max_expansions: 20_000 }).unwrap().comm_cost;
     assert!(
         nmap_cost < pbb_cost,
         "NMAP {nmap_cost} should beat truncated PBB {pbb_cost} at 30 cores"
