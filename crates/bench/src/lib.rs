@@ -9,6 +9,7 @@
 //! * `figures` — end-to-end regeneration of each paper artifact on
 //!   reduced parameter sets (the shapes benchmarked are the same code
 //!   paths the experiment binaries run at full scale).
+//! * `graph_build` — topology construction and core-graph build/clone.
 
 #![forbid(unsafe_code)]
 

@@ -4,11 +4,6 @@
 //! `comm_{i,j}` states that core `v_i` sends an average of `comm_{i,j}` MB/s
 //! to core `v_j`. Each edge becomes one *commodity* `d_k` during mapping.
 
-// lint: allow-file(hash-container) — the only hash container here is
-// `edge_lookup`, a get/insert-only duplicate index that is never
-// iterated, so its order cannot leak into results.
-use std::collections::HashMap;
-
 use noc_units::Mbps;
 
 use crate::{CoreId, EdgeId, GraphError, Result};
@@ -47,14 +42,37 @@ pub struct CoreEdge {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreGraph {
-    names: Vec<String>,
+    /// Every core's name, concatenated in core-id order.
+    name_buf: String,
+    /// Per core: the end of its name in `name_buf` and the head and tail
+    /// of its two adjacency lists.
+    cores: Vec<CoreSlot>,
     edges: Vec<CoreEdge>,
-    /// Outgoing edge ids per core, in insertion order.
-    out_adj: Vec<Vec<EdgeId>>,
-    /// Incoming edge ids per core, in insertion order.
-    in_adj: Vec<Vec<EdgeId>>,
-    /// Fast duplicate detection for `(src, dst)` pairs.
-    edge_lookup: HashMap<(CoreId, CoreId), EdgeId>,
+    /// Per edge: the next edge of its source's out-list and of its
+    /// destination's in-list.
+    next: Vec<EdgeNext>,
+}
+
+/// End of a forward-star list.
+const NIL: u32 = u32::MAX;
+
+/// One core's entry: its name's end offset and the head/tail edge of its
+/// outgoing and incoming forward-star lists (`NIL` when empty). Edges are
+/// appended at the tail, so each list walks in insertion order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CoreSlot {
+    name_end: usize,
+    out_head: u32,
+    out_tail: u32,
+    in_head: u32,
+    in_tail: u32,
+}
+
+/// One edge's successors in the two forward-star lists it belongs to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EdgeNext {
+    out_next: u32,
+    in_next: u32,
 }
 
 impl CoreGraph {
@@ -67,10 +85,15 @@ impl CoreGraph {
     ///
     /// Names are labels for reporting only; they need not be unique.
     pub fn add_core(&mut self, name: impl Into<String>) -> CoreId {
-        let id = CoreId::new(self.names.len());
-        self.names.push(name.into());
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
+        let id = CoreId::new(self.cores.len());
+        self.name_buf.push_str(&name.into());
+        self.cores.push(CoreSlot {
+            name_end: self.name_buf.len(),
+            out_head: NIL,
+            out_tail: NIL,
+            in_head: NIL,
+            in_tail: NIL,
+        });
         id
     }
 
@@ -87,10 +110,10 @@ impl CoreGraph {
     ///   parallel demands before inserting.
     // lint: allow(f64-api) — checked boundary intake: validated via `Mbps::new`.
     pub fn add_comm(&mut self, src: CoreId, dst: CoreId, bandwidth: f64) -> Result<EdgeId> {
-        if src.index() >= self.names.len() {
+        if src.index() >= self.cores.len() {
             return Err(GraphError::UnknownCore(src));
         }
-        if dst.index() >= self.names.len() {
+        if dst.index() >= self.cores.len() {
             return Err(GraphError::UnknownCore(dst));
         }
         if src == dst {
@@ -98,20 +121,31 @@ impl CoreGraph {
         }
         let bandwidth =
             Mbps::new(bandwidth).map_err(|_| GraphError::InvalidBandwidth(bandwidth))?;
-        if self.edge_lookup.contains_key(&(src, dst)) {
+        if self.find_edge(src, dst).is_some() {
             return Err(GraphError::DuplicateEdge(src, dst));
         }
         let id = EdgeId::new(self.edges.len());
+        let raw = id.0;
         self.edges.push(CoreEdge { src, dst, bandwidth });
-        self.out_adj[src.index()].push(id);
-        self.in_adj[dst.index()].push(id);
-        self.edge_lookup.insert((src, dst), id);
+        self.next.push(EdgeNext { out_next: NIL, in_next: NIL });
+        let slot = &mut self.cores[src.index()];
+        match slot.out_tail {
+            NIL => slot.out_head = raw,
+            prev => self.next[prev as usize].out_next = raw,
+        }
+        slot.out_tail = raw;
+        let slot = &mut self.cores[dst.index()];
+        match slot.in_tail {
+            NIL => slot.in_head = raw,
+            prev => self.next[prev as usize].in_next = raw,
+        }
+        slot.in_tail = raw;
         Ok(id)
     }
 
     /// Number of cores `|V|`.
     pub fn core_count(&self) -> usize {
-        self.names.len()
+        self.cores.len()
     }
 
     /// Number of directed communication edges `|E|` (= number of
@@ -126,7 +160,9 @@ impl CoreGraph {
     ///
     /// Panics if `core` is out of range.
     pub fn name(&self, core: CoreId) -> &str {
-        &self.names[core.index()]
+        let i = core.index();
+        let start = if i == 0 { 0 } else { self.cores[i - 1].name_end };
+        &self.name_buf[start..self.cores[i].name_end]
     }
 
     /// Returns the edge record for `edge`.
@@ -138,14 +174,15 @@ impl CoreGraph {
         self.edges[edge.index()]
     }
 
-    /// Looks up the directed edge `src -> dst`, if present.
+    /// Looks up the directed edge `src -> dst`, if present, by scanning
+    /// the out-list of `src`.
     pub fn find_edge(&self, src: CoreId, dst: CoreId) -> Option<EdgeId> {
-        self.edge_lookup.get(&(src, dst)).copied()
+        self.out_edges(src).find(|(_, e)| e.dst == dst).map(|(id, _)| id)
     }
 
     /// Iterates over all core ids `v_0, v_1, …`.
     pub fn cores(&self) -> impl ExactSizeIterator<Item = CoreId> + '_ {
-        (0..self.names.len()).map(CoreId::new)
+        (0..self.cores.len()).map(CoreId::new)
     }
 
     /// Iterates over all edges with their ids, in insertion order.
@@ -153,14 +190,28 @@ impl CoreGraph {
         self.edges.iter().enumerate().map(|(i, e)| (EdgeId::new(i), *e))
     }
 
-    /// Outgoing edges of `core`.
+    /// Outgoing edges of `core`, in insertion order.
     pub fn out_edges(&self, core: CoreId) -> impl Iterator<Item = (EdgeId, CoreEdge)> + '_ {
-        self.out_adj[core.index()].iter().map(move |&id| (id, self.edges[id.index()]))
+        self.walk(self.cores[core.index()].out_head, |n| n.out_next)
     }
 
-    /// Incoming edges of `core`.
+    /// Incoming edges of `core`, in insertion order.
     pub fn in_edges(&self, core: CoreId) -> impl Iterator<Item = (EdgeId, CoreEdge)> + '_ {
-        self.in_adj[core.index()].iter().map(move |&id| (id, self.edges[id.index()]))
+        self.walk(self.cores[core.index()].in_head, |n| n.in_next)
+    }
+
+    /// Walks one forward-star list from `head`, following `step`.
+    fn walk<'a>(
+        &'a self,
+        head: u32,
+        step: impl Fn(&EdgeNext) -> u32 + 'a,
+    ) -> impl Iterator<Item = (EdgeId, CoreEdge)> + 'a {
+        let first = (head != NIL).then_some(head);
+        std::iter::successors(first, move |&e| {
+            let next = step(&self.next[e as usize]);
+            (next != NIL).then_some(next)
+        })
+        .map(|e| (EdgeId(e), self.edges[e as usize]))
     }
 
     /// Total communication demand adjacent to `core` in the **undirected**
@@ -209,10 +260,10 @@ impl CoreGraph {
     /// Checks whether the undirected view of the graph is connected.
     /// The empty graph counts as connected.
     pub fn is_connected(&self) -> bool {
-        if self.names.is_empty() {
+        if self.cores.is_empty() {
             return true;
         }
-        let mut seen = vec![false; self.names.len()];
+        let mut seen = vec![false; self.cores.len()];
         let mut stack = vec![CoreId::new(0)];
         seen[0] = true;
         let mut visited = 1usize;
@@ -227,7 +278,7 @@ impl CoreGraph {
                 }
             }
         }
-        visited == self.names.len()
+        visited == self.cores.len()
     }
 }
 

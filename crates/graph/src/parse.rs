@@ -477,6 +477,16 @@ mod tests {
     }
 
     #[test]
+    fn parallel_custom_links_resolve_to_the_last_declared() {
+        let t = parse_topology("custom 2\nlink 0 1 100\nlink 0 1 250\n").unwrap();
+        assert_eq!(t.link_count(), 2);
+        let id = t.find_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        assert_eq!(id.index(), 1);
+        assert_eq!(t.link(id).capacity.to_f64(), 250.0);
+        assert_eq!(t.find_link(NodeId::new(1), NodeId::new(0)), None);
+    }
+
+    #[test]
     fn mesh_with_link_records_is_rejected() {
         let err = parse_topology("mesh 2 2 100\nlink 0 1 50\n").unwrap_err();
         assert!(err.to_string().contains("only valid for custom"));

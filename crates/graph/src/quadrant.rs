@@ -16,7 +16,7 @@
 //! with distances summed axis by axis), and on custom topologies it
 //! degenerates to the union of all BFS-minimal paths.
 
-use crate::{bfs_hops, LinkId, NodeId, Topology, TopologyKind};
+use crate::{LinkId, NodeId, Topology};
 
 /// The set of productive links for one source/destination pair, plus the
 /// membership test used by routing and the MCF builder.
@@ -76,41 +76,13 @@ impl QuadrantDag {
 /// Panics if either node is out of range, or the pair is disconnected in a
 /// custom topology.
 pub fn quadrant_links(topology: &Topology, source: NodeId, dest: NodeId) -> Vec<LinkId> {
-    let (dist_to_dest, dist_from_source): (Vec<usize>, Vec<usize>) = match topology.kind() {
-        TopologyKind::Grid(_) => (
-            topology.nodes().map(|n| topology.hop_distance(n, dest)).collect(),
-            topology.nodes().map(|n| topology.hop_distance(source, n)).collect(),
-        ),
-        TopologyKind::Custom => {
-            // dist(n, dest) needs reverse BFS; compute via BFS from dest on
-            // the reversed graph: approximate by running BFS from every node
-            // is wasteful, so do a reverse traversal here.
-            let mut rev = vec![None; topology.node_count()];
-            rev[dest.index()] = Some(0usize);
-            let mut queue = std::collections::VecDeque::from([dest]);
-            while let Some(n) = queue.pop_front() {
-                let d = rev[n.index()].expect("queued");
-                for (_, l) in topology.in_links(n) {
-                    if rev[l.src.index()].is_none() {
-                        rev[l.src.index()] = Some(d + 1);
-                        queue.push_back(l.src);
-                    }
-                }
-            }
-            let fwd = bfs_hops(topology, source);
-            let total = fwd[dest.index()]
-                .and_then(|a| rev[source.index()].map(|_| a))
-                .unwrap_or_else(|| panic!("{}", crate::GraphError::Disconnected(source, dest)));
-            let _ = total;
-            let big = usize::MAX / 2;
-            (
-                rev.iter().map(|d| d.unwrap_or(big)).collect(),
-                fwd.iter().map(|d| d.unwrap_or(big)).collect(),
-            )
-        }
-    };
-
-    let shortest = dist_from_source[dest.index()];
+    let shortest = topology.hop_distance(source, dest);
+    // Nodes that cannot reach `dest` (or be reached from `source`) on a
+    // custom topology get a distance no link can be productive against.
+    let big = usize::MAX / 2;
+    let dist = |a, b| topology.hops(a, b).unwrap_or(big);
+    let dist_to_dest: Vec<usize> = topology.nodes().map(|n| dist(n, dest)).collect();
+    let dist_from_source: Vec<usize> = topology.nodes().map(|n| dist(source, n)).collect();
     topology
         .links()
         .filter_map(|(id, link)| {

@@ -8,11 +8,6 @@
 //! one [`Grid`] abstraction) plus arbitrary custom topologies (the
 //! "future work" extension of Section 8).
 
-// lint: allow-file(hash-container) — the only hash container here is
-// `link_lookup`, a get/insert-only index that is never iterated, so its
-// order cannot leak into results.
-use std::collections::HashMap;
-
 use noc_units::Mbps;
 
 use crate::{GraphError, Grid, LinkId, NodeId, Result};
@@ -78,15 +73,27 @@ pub struct Topology {
     kind: TopologyKind,
     node_count: usize,
     links: Vec<Link>,
-    out_links: Vec<Vec<LinkId>>,
-    in_links: Vec<Vec<LinkId>>,
-    link_lookup: HashMap<(NodeId, NodeId), LinkId>,
+    /// Outgoing adjacency in compressed sparse rows: the out-links of
+    /// node `n` are `out_ids[out_start[n]..out_start[n + 1]]`, in link-id
+    /// order.
+    out_start: Vec<usize>,
+    out_ids: Vec<LinkId>,
+    /// Incoming adjacency, laid out like `out_start`/`out_ids`.
+    in_start: Vec<usize>,
+    in_ids: Vec<LinkId>,
     /// Number of coordinates per node (the grid rank; 2 for custom).
     rank: usize,
     /// Flattened node coordinates, `rank` entries per node; synthesized
     /// `(i, 0)` for custom topologies.
     coords: Vec<usize>,
+    /// All-pairs hop counts of a custom topology, row-major by source
+    /// (`UNREACHABLE` for disconnected pairs); empty for grids, whose
+    /// distances have a closed form.
+    hop_table: Vec<u32>,
 }
+
+/// `hop_table` entry of a pair with no directed path.
+const UNREACHABLE: u32 = u32::MAX;
 
 impl Topology {
     /// Builds a `width × height` mesh whose links all have capacity
@@ -171,6 +178,7 @@ impl Topology {
         // Build with a placeholder kind so `grid` stays borrowable for the
         // link loops; it moves into the kind at the end.
         let mut t = Self::empty(TopologyKind::Custom, node_count, rank);
+        t.links.reserve_exact(grid_link_count(&grid));
         let mut scratch = Vec::with_capacity(rank);
         for index in 0..node_count {
             grid.coords_into(index, &mut scratch);
@@ -203,6 +211,7 @@ impl Topology {
             }
         }
         t.kind = TopologyKind::Grid(grid);
+        t.build_adjacency();
         Ok(t)
     }
 
@@ -235,36 +244,73 @@ impl Topology {
                 return Err(GraphError::UnknownNode(dst));
             }
             let capacity = Mbps::positive(cap).map_err(|_| GraphError::InvalidCapacity(cap))?;
-            t.push_link(src, dst, capacity);
+            t.links.push(Link { src, dst, capacity });
         }
+        t.build_adjacency();
+        t.hop_table = t.all_pairs_hops();
         Ok(t)
     }
 
+    /// A topology with coordinates allocated but no links; the
+    /// constructors push the links, then call [`Self::build_adjacency`].
     fn empty(kind: TopologyKind, node_count: usize, rank: usize) -> Self {
         Self {
             kind,
             node_count,
             links: Vec::new(),
-            out_links: vec![Vec::new(); node_count],
-            in_links: vec![Vec::new(); node_count],
-            link_lookup: HashMap::new(),
+            out_start: Vec::new(),
+            out_ids: Vec::new(),
+            in_start: Vec::new(),
+            in_ids: Vec::new(),
             rank,
             coords: vec![0; node_count * rank],
+            hop_table: Vec::new(),
         }
     }
 
-    fn push_link(&mut self, src: NodeId, dst: NodeId, capacity: Mbps) -> LinkId {
-        let id = LinkId::new(self.links.len());
-        self.links.push(Link { src, dst, capacity });
-        self.out_links[src.index()].push(id);
-        self.in_links[dst.index()].push(id);
-        self.link_lookup.insert((src, dst), id);
-        id
+    fn push_bidirectional(&mut self, a: NodeId, b: NodeId, capacity: Mbps) {
+        self.links.push(Link { src: a, dst: b, capacity });
+        self.links.push(Link { src: b, dst: a, capacity });
     }
 
-    fn push_bidirectional(&mut self, a: NodeId, b: NodeId, capacity: Mbps) {
-        self.push_link(a, b, capacity);
-        self.push_link(b, a, capacity);
+    /// Builds both CSR adjacencies from `links`, once all links exist.
+    fn build_adjacency(&mut self) {
+        (self.out_start, self.out_ids) = csr_rows(self.node_count, &self.links, |l| l.src);
+        (self.in_start, self.in_ids) = csr_rows(self.node_count, &self.links, |l| l.dst);
+    }
+
+    /// BFS from every node over the CSR out-rows, into one row-major
+    /// `node_count²` table with a single reused queue.
+    fn all_pairs_hops(&self) -> Vec<u32> {
+        let n = self.node_count;
+        let mut table = vec![UNREACHABLE; n * n];
+        let mut queue = Vec::with_capacity(n);
+        for (source, row) in table.chunks_exact_mut(n).enumerate() {
+            row[source] = 0;
+            queue.clear();
+            queue.push(source);
+            let mut head = 0;
+            while let Some(&at) = queue.get(head) {
+                head += 1;
+                let next = row[at] + 1;
+                for id in self.out_row(at) {
+                    let dst = self.links[id.index()].dst.index();
+                    if row[dst] == UNREACHABLE {
+                        row[dst] = next;
+                        queue.push(dst);
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    fn out_row(&self, node: usize) -> &[LinkId] {
+        &self.out_ids[self.out_start[node]..self.out_start[node + 1]]
+    }
+
+    fn in_row(&self, node: usize) -> &[LinkId] {
+        &self.in_ids[self.in_start[node]..self.in_start[node + 1]]
     }
 
     /// The topology family (grid or custom).
@@ -299,9 +345,13 @@ impl Topology {
         self.links[link.index()]
     }
 
-    /// Looks up the directed link `src -> dst`.
+    /// Looks up the directed link `src -> dst` by scanning the out-links
+    /// of `src`.
+    ///
+    /// A custom topology may hold parallel links `src -> dst`; the one
+    /// with the highest id (the last declared) is returned.
     pub fn find_link(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.link_lookup.get(&(src, dst)).copied()
+        self.out_row(src.index()).iter().rev().copied().find(|id| self.links[id.index()].dst == dst)
     }
 
     /// Iterates over all node ids.
@@ -316,17 +366,17 @@ impl Topology {
 
     /// Outgoing links of `node` (the paper's adjacency set `Adj_i`).
     pub fn out_links(&self, node: NodeId) -> impl Iterator<Item = (LinkId, Link)> + '_ {
-        self.out_links[node.index()].iter().map(move |&id| (id, self.links[id.index()]))
+        self.out_row(node.index()).iter().map(move |&id| (id, self.links[id.index()]))
     }
 
     /// Incoming links of `node`.
     pub fn in_links(&self, node: NodeId) -> impl Iterator<Item = (LinkId, Link)> + '_ {
-        self.in_links[node.index()].iter().map(move |&id| (id, self.links[id.index()]))
+        self.in_row(node.index()).iter().map(move |&id| (id, self.links[id.index()]))
     }
 
-    /// Number of distinct neighbour nodes reachable over one outgoing link.
+    /// Number of outgoing links of `node` (each parallel link counts).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.out_links[node.index()].len()
+        self.out_row(node.index()).len()
     }
 
     /// The first two grid coordinates `(x, y)` of `node` — the historical
@@ -372,28 +422,42 @@ impl Topology {
 
     /// Minimum hop count `dist(a, b)` between two nodes (Equation 7's
     /// distance). Closed-form per-axis wrap-aware distance for grids
-    /// (Manhattan on meshes, torus shortcuts where wraps exist); BFS for
-    /// custom topologies.
+    /// (Manhattan on meshes, torus shortcuts where wraps exist); a lookup
+    /// in the all-pairs BFS table built by [`Topology::custom`] for custom
+    /// topologies.
     ///
     /// # Panics
     ///
     /// Panics if either node is out of range, or if the nodes are
     /// disconnected in a custom topology.
     pub fn hop_distance(&self, a: NodeId, b: NodeId) -> usize {
+        self.hops(a, b).unwrap_or_else(|| panic!("{}", GraphError::Disconnected(a, b)))
+    }
+
+    /// [`Topology::hop_distance`], with `None` for a disconnected pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    pub(crate) fn hops(&self, a: NodeId, b: NodeId) -> Option<usize> {
         assert!(a.index() < self.node_count, "node {a} out of range");
         assert!(b.index() < self.node_count, "node {b} out of range");
         match &self.kind {
             TopologyKind::Grid(grid) => {
                 let ca = self.grid_coords(a);
                 let cb = self.grid_coords(b);
-                grid.axes()
-                    .iter()
-                    .zip(ca.iter().zip(cb))
-                    .map(|(axis, (&x, &y))| axis.distance(x, y))
-                    .sum()
+                Some(
+                    grid.axes()
+                        .iter()
+                        .zip(ca.iter().zip(cb))
+                        .map(|(axis, (&x, &y))| axis.distance(x, y))
+                        .sum(),
+                )
             }
-            TopologyKind::Custom => crate::algo::bfs_hops(self, a)[b.index()]
-                .unwrap_or_else(|| panic!("{}", GraphError::Disconnected(a, b))),
+            TopologyKind::Custom => {
+                let hops = self.hop_table[a.index() * self.node_count + b.index()];
+                (hops != UNREACHABLE).then_some(hops as usize)
+            }
         }
     }
 
@@ -475,6 +539,52 @@ impl Topology {
             (w, w)
         }
     }
+}
+
+/// Number of directed links [`Topology::grid`] creates: two per mesh
+/// channel (`extent − 1` per line along each axis) and two per wrap
+/// channel (one per line along each wrapping axis).
+fn grid_link_count(grid: &Grid) -> usize {
+    let nodes = grid.node_count();
+    let channels: usize = grid
+        .axes()
+        .iter()
+        .map(|axis| {
+            let lines = nodes / axis.extent;
+            lines * (axis.extent - 1) + if axis.wraps() { lines } else { 0 }
+        })
+        .sum();
+    2 * channels
+}
+
+/// Compressed sparse rows of `links` keyed by `key` (source or
+/// destination): `(start, ids)` with the row of node `n` at
+/// `ids[start[n]..start[n + 1]]`. One counting pass and one stable
+/// placement pass, so each row lists its links in id order.
+fn csr_rows(
+    node_count: usize,
+    links: &[Link],
+    key: impl Fn(&Link) -> NodeId,
+) -> (Vec<usize>, Vec<LinkId>) {
+    let mut start = vec![0usize; node_count + 1];
+    for link in links {
+        start[key(link).index()] += 1;
+    }
+    // Running sums: `start[n]` becomes the end of row `n`.
+    let mut end = 0;
+    for slot in &mut start {
+        end += *slot;
+        *slot = end;
+    }
+    // Filling each row back to front from its end leaves `start[n]` at
+    // the row's beginning and the row in ascending id order.
+    let mut ids = vec![LinkId::new(0); links.len()];
+    for (i, link) in links.iter().enumerate().rev() {
+        let slot = &mut start[key(link).index()];
+        *slot -= 1;
+        ids[*slot] = LinkId::new(i);
+    }
+    (start, ids)
 }
 
 #[cfg(test)]
@@ -727,6 +837,64 @@ mod tests {
         assert_eq!(Topology::mesh(4, 3, 1.0).kind().describe(), "mesh 4x3");
         assert_eq!(Topology::torus_nd(&[4, 4, 2], 1.0).unwrap().kind().describe(), "torus 4x4x2");
         assert_eq!(Topology::custom(1, []).unwrap().kind().describe(), "custom");
+    }
+
+    #[test]
+    fn find_link_returns_the_last_parallel_link() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let t = Topology::custom(2, [(a, b, 10.0), (b, a, 30.0), (a, b, 20.0)]).unwrap();
+        assert_eq!(t.find_link(a, b), Some(LinkId::new(2)));
+        assert_eq!(t.link(LinkId::new(2)).capacity.to_f64(), 20.0);
+        assert_eq!(t.find_link(b, a), Some(LinkId::new(1)));
+        // Both parallel links stay in the adjacency, in id order.
+        let out: Vec<LinkId> = t.out_links(a).map(|(id, _)| id).collect();
+        assert_eq!(out, [LinkId::new(0), LinkId::new(2)]);
+        assert_eq!(t.degree(a), 2);
+        assert_eq!(t.hop_distance(a, b), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no path between u1 and u0 in the topology")]
+    fn custom_hop_distance_panics_on_disconnected_pair() {
+        let t = Topology::custom(3, [(NodeId::new(0), NodeId::new(1), 1.0)]).unwrap();
+        assert_eq!(t.hop_distance(NodeId::new(0), NodeId::new(1)), 1);
+        t.hop_distance(NodeId::new(1), NodeId::new(0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The all-pairs table of a custom topology equals a BFS from
+        /// every source, unreachable pairs included.
+        #[test]
+        fn custom_hop_table_matches_bfs(
+            n in 1usize..=10,
+            raw in proptest::collection::vec((0usize..10, 0usize..10), 0..=30),
+        ) {
+            let links = raw.iter().map(|&(a, b)| (NodeId::new(a % n), NodeId::new(b % n), 1.0));
+            let t = Topology::custom(n, links).unwrap();
+            for a in t.nodes() {
+                let bfs = crate::bfs_hops(&t, a);
+                for b in t.nodes() {
+                    proptest::prop_assert_eq!(t.hops(a, b), bfs[b.index()]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_link_count_is_exact() {
+        for t in [
+            Topology::mesh(1, 1, 1.0),
+            Topology::mesh(8, 8, 1.0),
+            Topology::torus(5, 4, 1.0),
+            Topology::torus(2, 3, 1.0),
+            Topology::mesh_nd(&[4, 4, 2], 1.0).unwrap(),
+            Topology::torus_nd(&[3, 1, 4], 1.0).unwrap(),
+        ] {
+            let grid = t.grid_structure().unwrap();
+            assert_eq!(grid_link_count(grid), t.link_count(), "{}", t.kind().describe());
+        }
     }
 
     #[test]
